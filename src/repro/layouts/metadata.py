@@ -19,6 +19,8 @@ Pruning here is *sound by construction*: a partition is skipped only when
 its min/max (or distinct set) is disjoint from a predicate, so skipping can
 never change query results — tests assert this against row-level ground
 truth, and the Spark integration asserts it against the DuckDB oracle.
+Min/max ignore NaN, as Parquet statistics do: NaN satisfies no range
+predicate, so no NaN row ever needs its partition read.
 """
 from __future__ import annotations
 
@@ -120,18 +122,22 @@ def build_materialized(
     # Partition boundaries in the sorted order: contiguous slices per BID.
     bounds = np.searchsorted(sorted_bids, np.arange(n_parts + 1))
 
+    # NaN-ignoring reductions over each non-empty partition's slice: NaN never
+    # satisfies a range predicate, so an all-NaN (or empty) partition keeps
+    # the empty range (inf, -inf) and is never read for one.
+    filled = rows > 0
+    starts = bounds[:-1][filled]
     mins: dict[str, np.ndarray] = {}
     maxs: dict[str, np.ndarray] = {}
     for c in numeric_cols:
-        v = pdf[c].to_numpy()[order]
+        v = pdf[c].to_numpy(dtype=np.float64)[order]
         lo = np.full(n_parts, np.inf)
         hi = np.full(n_parts, -np.inf)
-        for b in range(n_parts):
-            s, e = bounds[b], bounds[b + 1]
-            if e > s:
-                lo[b] = v[s:e].min()
-                hi[b] = v[s:e].max()
-        mins[c], maxs[c] = lo, hi
+        if len(starts):
+            lo[filled] = np.fmin.reduceat(v, starts)
+            hi[filled] = np.fmax.reduceat(v, starts)
+        mins[c] = np.where(np.isnan(lo), np.inf, lo)
+        maxs[c] = np.where(np.isnan(hi), -np.inf, hi)
 
     distinct: dict[str, list[frozenset]] = {}
     for c in categorical_cols:

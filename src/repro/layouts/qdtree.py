@@ -16,6 +16,27 @@ the same:
 - benefit uses node-level metadata refined only on the cut column, the
   standard approximation that keeps construction metadata-only.
 
+Each leaf's split search is a handful of array operations over all cuts
+and queries at once:
+
+- the window's predicates are compiled once per build: per numeric column,
+  ``L``/``H`` hold each query's tightest lower/upper bound (±inf when
+  absent), so a query can touch a node with range ``[lo, hi]`` exactly when
+  ``hi >= L and lo <= H``; categorical columns are dictionary-coded
+  (``pd.factorize``), so IN-predicates, cut value sets and a node's
+  distinct values are boolean masks over the codes;
+- a numeric cut's left-side row count ``n1`` comes from one
+  ``searchsorted`` of all the column's thresholds into the leaf's sorted
+  values, a categorical cut's from its mask times the leaf's code counts;
+- a cut's benefit is ``n1·skip_left + (n_leaf − n1)·skip_right``, where
+  ``skip_*`` counts the queries that can touch the leaf but not that child.
+  The counts are integers, so the result is exact;
+- the leaf's cut is the ``argmax`` of the benefit vector in cut order,
+  taken only if positive, so ties go to the first cut harvested.
+
+Leaf ranges ignore NaN (an all-NaN range is empty, ``(inf, -inf)``) and NaN
+rows route right (``NaN < v`` is false), both here and in ``assign``.
+
 The returned :class:`QdTreeLayout` assigns BIDs to any dataframe by vectorized
 tree routing, so the same object drives both the simulator (metadata from the
 full frame) and the Spark reorganization job (mapInPandas).
@@ -114,24 +135,18 @@ def harvest_cuts(queries: list[Query] | tuple[Query, ...], max_cuts: int = 128, 
     return out
 
 
-def _overlaps_num(pred: RangePredicate, lo: float, hi: float) -> bool:
-    if pred.lo is not None and hi < pred.lo:
-        return False
-    if pred.hi is not None and lo > pred.hi:
-        return False
-    return True
+def _span(v: np.ndarray) -> tuple[float, float]:
+    """NaN-ignoring ``(min, max)``; ``(inf, -inf)`` when no value is a number."""
+    return float(np.fmin.reduce(v, initial=np.inf)), float(np.fmax.reduce(v, initial=-np.inf))
 
 
-class _Leaf:
-    """Mutable build-time leaf: sample rows + metadata + accessed queries."""
-
-    __slots__ = ("rows", "ranges", "distinct", "accessed")
-
-    def __init__(self, rows: np.ndarray, ranges: dict, distinct: dict, accessed: list[int]):
-        self.rows = rows  # indices into the sample frame
-        self.ranges = ranges  # col -> (lo, hi) over sample rows
-        self.distinct = distinct  # col -> frozenset over sample rows
-        self.accessed = accessed  # indices of queries this leaf cannot skip
+def _n_skipping(dist: np.ndarray, pred_mask: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Per row of ``dist`` (a value set as a code mask), how many queries have
+    an IN-predicate disjoint from it. ``pred_mask`` holds the predicates'
+    value sets, grouped by query (at least one); ``first`` marks each query's
+    first one."""
+    miss = ~(dist @ pred_mask.T)
+    return np.logical_or.reduceat(miss, np.flatnonzero(first), axis=1).sum(1)
 
 
 def build_qdtree(
@@ -158,153 +173,166 @@ def build_qdtree(
     if len(queries) > max_queries:
         step = len(queries) / max_queries
         queries = [queries[int(i * step)] for i in range(max_queries)]
-
     cuts = harvest_cuts(queries, max_cuts=max_cuts, seed=seed)
-    # Group query predicates by column for incremental benefit evaluation.
-    preds_by_qcol: list[dict[str, list]] = []
-    for q in queries:
-        d: dict[str, list] = {}
+    nq = len(queries)
+
+    # Compile the predicates: per numeric column the queries that filter on
+    # it and their tightest bounds; per categorical column one entry per
+    # IN-predicate (its query and its value set).
+    bounds: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    in_lists: dict[str, tuple[list[int], list[frozenset]]] = {}
+    for qi, q in enumerate(queries):
         for p in q.predicates:
-            d.setdefault(p.col, []).append(p)
-        preds_by_qcol.append(d)
+            if isinstance(p, RangePredicate):
+                if p.col in categorical_cols:
+                    raise ValueError(f"range predicate on categorical column {p.col!r}")
+                if p.col not in bounds:
+                    bounds[p.col] = (np.zeros(nq, bool), np.full(nq, -np.inf), np.full(nq, np.inf))
+                has, lo_b, hi_b = bounds[p.col]
+                has[qi] = True
+                if p.lo is not None:
+                    lo_b[qi] = max(lo_b[qi], p.lo)
+                if p.hi is not None:
+                    hi_b[qi] = min(hi_b[qi], p.hi)
+            else:
+                if p.col not in categorical_cols:
+                    raise ValueError(f"IN-predicate on non-categorical column {p.col!r}")
+                qs, vals = in_lists.setdefault(p.col, ([], []))
+                qs.append(qi)
+                vals.append(p.values)
 
-    cols = [c for c in sample.columns if c != "BID"]
-    num_cols = [c for c in cols if c not in categorical_cols]
-    colarr = {c: sample[c].to_numpy() for c in cols}
+    num = {c: sample[c].to_numpy(dtype=np.float64) for c in bounds}
+    codes: dict[str, np.ndarray] = {}
+    code_of: dict[str, dict] = {}
+    memo: dict[tuple[str, frozenset], np.ndarray] = {}
 
-    def leaf_accessed(ranges: dict, distinct: dict, cand: list[int]) -> list[int]:
-        out = []
-        for qi in cand:
-            ok = True
-            for col, preds in preds_by_qcol[qi].items():
-                for p in preds:
-                    if isinstance(p, RangePredicate):
-                        lo, hi = ranges[col]
-                        if not _overlaps_num(p, lo, hi):
-                            ok = False
-                            break
-                    else:
-                        if p.values.isdisjoint(distinct[col]):
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                out.append(qi)
+    def code_mask(c: str, values: frozenset) -> np.ndarray:
+        """The codes of ``values`` in column ``c``, as a boolean mask."""
+        if (c, values) not in memo:
+            m = memo[c, values] = np.zeros(len(code_of[c]), dtype=bool)
+            m[[code_of[c][x] for x in values if x in code_of[c]]] = True
+        return memo[c, values]
+
+    in_preds: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for c, (qs, vals) in in_lists.items():
+        codes[c], uniq = pd.factorize(sample[c], use_na_sentinel=False)
+        code_of[c] = {u: i for i, u in enumerate(uniq)}
+        pred_q = np.asarray(qs)
+        first = np.r_[True, pred_q[1:] != pred_q[:-1]]
+        in_preds[c] = (pred_q, np.array([code_mask(c, v) for v in vals]), first)
+
+    # Cuts grouped by column (all of one kind), with their positions in ``cuts``.
+    by_col: dict[str, list[int]] = {}
+    for i, cut in enumerate(cuts):
+        by_col.setdefault(cut.col, []).append(i)
+    num_cuts, cat_cuts = {}, {}
+    for c, idx in by_col.items():
+        if c in bounds:
+            v = np.array([cuts[i].v for i in idx])
+            num_cuts[c] = (np.asarray(idx), v, np.nextafter(v, -np.inf))
+        else:
+            cat_cuts[c] = (np.asarray(idx), np.array([code_mask(c, cuts[i].values) for i in idx]))
+
+    def touch_num(acc: np.ndarray, c: str, lo: float, hi: float) -> np.ndarray:
+        """``acc`` narrowed to the queries whose bounds on ``c`` meet ``[lo, hi]``."""
+        _, lo_b, hi_b = bounds[c]
+        return acc & (hi >= lo_b) & (lo <= hi_b)
+
+    def touch_cat(acc: np.ndarray, c: str, dist: np.ndarray) -> np.ndarray:
+        """``acc`` without the queries with an IN-predicate on ``c`` disjoint from ``dist``."""
+        pred_q, masks, _ = in_preds[c]
+        out = acc.copy()
+        out[pred_q[~(masks @ dist)]] = False
         return out
-
-    all_rows = np.arange(len(sample))
-    root_ranges = {
-        c: (float(colarr[c].min()), float(colarr[c].max())) if len(sample) else (0.0, 0.0)
-        for c in num_cols
-    }
-    root_distinct = {c: frozenset(colarr[c]) for c in categorical_cols}
-    root_leaf = _Leaf(
-        all_rows, root_ranges, root_distinct, leaf_accessed(root_ranges, root_distinct, list(range(len(queries))))
-    )
 
     min_rows = max(1, int(min_leaf_frac * len(sample) / k))
 
-    def best_split(leaf: _Leaf):
-        """Return (benefit, cut, left_mask) of the best cut for this leaf."""
-        best = (0.0, None, None)
-        n_leaf = len(leaf.rows)
-        for cut in cuts:
-            c = cut.col
-            # Queries whose accessibility a cut on column c can change.
-            qs = [qi for qi in leaf.accessed if c in preds_by_qcol[qi]]
-            if not qs:
+    # A leaf is (sample rows, lo, hi, distinct, accessed): the numeric ranges
+    # and distinct-code masks are refined only on cut columns; ``accessed``
+    # masks the queries that leaf metadata cannot skip.
+    def best_split(rows, lo, hi, dist, acc) -> tuple[int, int]:
+        """(benefit, index into ``cuts``) of the leaf's best cut."""
+        n_leaf = len(rows)
+        ben = np.zeros(len(cuts), dtype=np.int64)
+        for c, (idx, v, v_prev) in num_cuts.items():
+            has, lo_b, hi_b = bounds[c]
+            sel = acc & has
+            ok = (lo[c] < v) & (v <= hi[c])
+            if not sel.any() or not ok.any():
                 continue
-            if isinstance(cut, NumCut):
-                lo, hi = leaf.ranges.get(c, (None, None))
-                if lo is None or not (lo < cut.v <= hi):
-                    continue
-                vals = colarr[c][leaf.rows]
-                lm = vals < cut.v
-                n1 = int(lm.sum())
-                if n1 < min_rows or n_leaf - n1 < min_rows:
-                    continue
-                # Child metadata refined on the cut column only.
-                lmeta = (lo, float(np.nextafter(cut.v, -np.inf)))
-                rmeta = (cut.v, hi)
-                ben = 0.0
-                for qi in qs:
-                    a1 = a2 = True
-                    for p in preds_by_qcol[qi][c]:
-                        if isinstance(p, RangePredicate):
-                            a1 = a1 and _overlaps_num(p, *lmeta)
-                            a2 = a2 and _overlaps_num(p, *rmeta)
-                    ben += n_leaf - n1 * a1 - (n_leaf - n1) * a2
-            else:
-                dset = leaf.distinct.get(c)
-                if dset is None:
-                    continue
-                inter = dset & cut.values
-                if not inter or inter == dset:
-                    continue
-                lm = pd.Index(colarr[c][leaf.rows]).isin(cut.values)
-                n1 = int(lm.sum())
-                if n1 < min_rows or n_leaf - n1 < min_rows:
-                    continue
-                ldist, rdist = inter, dset - cut.values
-                ben = 0.0
-                for qi in qs:
-                    a1 = a2 = True
-                    for p in preds_by_qcol[qi][c]:
-                        if isinstance(p, InPredicate):
-                            a1 = a1 and not p.values.isdisjoint(ldist)
-                            a2 = a2 and not p.values.isdisjoint(rdist)
-                    ben += n_leaf - n1 * a1 - (n_leaf - n1) * a2
-            if ben > best[0]:
-                best = (float(ben), cut, np.asarray(lm))
-        return best
+            n1 = np.searchsorted(np.sort(num[c][rows]), v, side="left")
+            ok &= (n1 >= min_rows) & (n_leaf - n1 >= min_rows)
+            lo_b, hi_b = lo_b[sel], hi_b[sel]
+            # Children's ranges on c: [lo, v_prev] and [v, hi].
+            skip_l = (~((v_prev[:, None] >= lo_b) & (lo[c] <= hi_b))).sum(1)
+            skip_r = (~((hi[c] >= lo_b) & (v[:, None] <= hi_b))).sum(1)
+            ben[idx[ok]] = (n1 * skip_l + (n_leaf - n1) * skip_r)[ok]
+        for c, (idx, masks) in cat_cuts.items():
+            pred_q, pred_mask, first = in_preds[c]
+            sel = acc[pred_q]
+            left, right = masks & dist[c], ~masks & dist[c]
+            ok = left.any(1) & right.any(1)
+            if not sel.any() or not ok.any():
+                continue
+            n1 = masks @ np.bincount(codes[c][rows], minlength=masks.shape[1])
+            ok &= (n1 >= min_rows) & (n_leaf - n1 >= min_rows)
+            # A query's predicates are all selected or none, so ``first``
+            # still marks the selected queries' first ones.
+            skip_l = _n_skipping(left, pred_mask[sel], first[sel])
+            skip_r = _n_skipping(right, pred_mask[sel], first[sel])
+            ben[idx[ok]] = (n1 * skip_l + (n_leaf - n1) * skip_r)[ok]
+        best = int(np.argmax(ben))
+        return int(ben[best]), best
 
-    def split_leaf(leaf: _Leaf, cut: Cut, lm: np.ndarray) -> tuple[_Leaf, _Leaf]:
-        rows_l, rows_r = leaf.rows[lm], leaf.rows[~lm]
+    def split(leaf, cut: Cut):
+        rows, lo, hi, dist, acc = leaf
+        c = cut.col
         if isinstance(cut, NumCut):
-            rl = dict(leaf.ranges)
-            rr = dict(leaf.ranges)
-            vl = colarr[cut.col][rows_l]
-            vr = colarr[cut.col][rows_r]
-            rl[cut.col] = (float(vl.min()), float(vl.max()))
-            rr[cut.col] = (float(vr.min()), float(vr.max()))
-            dl = dr = leaf.distinct
+            lm = num[c][rows] < cut.v
         else:
-            rl = rr = leaf.ranges
-            dl = dict(leaf.distinct)
-            dr = dict(leaf.distinct)
-            dl[cut.col] = frozenset(colarr[cut.col][rows_l])
-            dr[cut.col] = frozenset(colarr[cut.col][rows_r])
-        return (
-            _Leaf(rows_l, rl, dl, leaf_accessed(rl, dl, leaf.accessed)),
-            _Leaf(rows_r, rr, dr, leaf_accessed(rr, dr, leaf.accessed)),
-        )
+            lm = code_mask(c, cut.values)[codes[c][rows]]
+        children = []
+        for part in (rows[lm], rows[~lm]):
+            if isinstance(cut, NumCut):
+                clo, chi = dict(lo), dict(hi)
+                clo[c], chi[c] = _span(num[c][part])
+                children.append((part, clo, chi, dist, touch_num(acc, c, clo[c], chi[c])))
+            else:
+                cdist = dict(dist)
+                cdist[c] = np.bincount(codes[c][part], minlength=len(dist[c])) > 0
+                children.append((part, lo, hi, cdist, touch_cat(acc, c, cdist[c])))
+        return children
 
-    # Greedy loop with a lazy max-heap of candidate splits.
+    root_lo, root_hi = {}, {}
+    acc = np.ones(nq, dtype=bool)
+    for c in bounds:
+        root_lo[c], root_hi[c] = _span(num[c])
+        acc = touch_num(acc, c, root_lo[c], root_hi[c])
+    root_dist = {}
+    for c in in_preds:
+        root_dist[c] = np.bincount(codes[c], minlength=len(code_of[c])) > 0
+        acc = touch_cat(acc, c, root_dist[c])
+
+    # Greedy loop over a max-heap of leaves keyed by their best benefit;
+    # equal benefits pop in creation order.
     counter = itertools.count()
     root_node = _Node()
     heap: list = []
-    leaf_info: dict[int, tuple[_Leaf, _Node]] = {}
 
-    def push(leaf: _Leaf, node: _Node) -> None:
-        hid = next(counter)
-        leaf_info[hid] = (leaf, node)
-        ben, cut, lm = best_split(leaf)
-        if cut is not None:
-            heapq.heappush(heap, (-ben, hid, cut, lm))
+    def push(leaf, node: _Node) -> None:
+        ben, i = best_split(*leaf)
+        if ben > 0:
+            heapq.heappush(heap, (-ben, next(counter), cuts[i], leaf, node))
 
-    push(root_leaf, root_node)
+    if cuts:
+        push((np.arange(len(sample)), root_lo, root_hi, root_dist, acc), root_node)
     n_leaves = 1
     while n_leaves < k and heap:
-        negben, hid, cut, lm = heapq.heappop(heap)
-        if hid not in leaf_info:
-            continue
-        leaf, node = leaf_info.pop(hid)
-        lleaf, rleaf = split_leaf(leaf, cut, lm)
+        _, _, cut, leaf, node = heapq.heappop(heap)
         node.cut = cut
         node.left, node.right = _Node(), _Node()
-        push(lleaf, node.left)
-        push(rleaf, node.right)
+        for child, child_node in zip(split(leaf, cut), (node.left, node.right)):
+            push(child, child_node)
         n_leaves += 1
 
     # Number leaves in deterministic (DFS) order.

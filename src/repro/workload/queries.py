@@ -71,7 +71,8 @@ class InPredicate:
         return pdf[self.col].isin(self.values).to_numpy()
 
     def to_sql(self) -> str:
-        vals = ", ".join(f"'{v}'" for v in sorted(self.values))
+        # SQL string literals escape an embedded quote by doubling it.
+        vals = ", ".join("'" + v.replace("'", "''") + "'" for v in sorted(self.values))
         return f"({self.col} IN ({vals}))"
 
 

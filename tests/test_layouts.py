@@ -1,4 +1,7 @@
 """Unit tests for the layout generators: fixed, Qd-tree, Z-order."""
+import functools
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -143,6 +146,73 @@ class TestQdTree:
     def test_rejects_bad_k(self, pdf, workload):
         with pytest.raises(ValueError):
             build_qdtree(pdf, workload.queries, 0)
+
+    def test_nan_does_not_disable_cuts(self):
+        """NaN in the sample leaves the column's range (and cuts) intact; NaN
+        rows route right, and pruning on the tree's partitions stays sound."""
+        g = np.random.default_rng(0)
+        x = g.uniform(0, 100, 1000)
+        x[::50] = np.nan
+        frame = pd.DataFrame({"x": x})
+        qs = [Query((RangePredicate("x", lo=lo, hi=lo + 10),)) for lo in range(0, 90, 10)]
+        lay = build_qdtree(frame, qs, 8)
+        assert lay.n_partitions > 1
+        bids = lay.assign(frame)
+        m = build_materialized(frame, bids, name="nan", categorical_cols=())
+        for q in qs:
+            assert not q.mask(frame)[~m.relevant_partitions(q)[bids]].any()
+
+
+# (dataset, case) -> (n_partitions, SHA-1 of the BIDs assigned to the frame).
+# Any change to the greedy construction's cuts, split order or tie-break
+# shows up here.
+GOLDEN_TREES = {
+    ("tpch_lite", "window-k1"): (1, "a8a3677bbd60c531716a0df55b7d2d63d32b0255"),
+    ("tpch_lite", "window-k8"): (8, "d32fcf4dd7ddc486c20772b507f2290f27f857e3"),
+    ("tpch_lite", "window-k24"): (24, "cd3cb49dc450d71518d88488382d40f053e4b30f"),
+    ("tpch_lite", "window-k24-minleaf"): (16, "e97a910b1c3305add9b8ed7df51b7a08cd7075a5"),
+    ("tpch_lite", "static-k24"): (24, "9843de48534a15083c728feac21f6bb6517e81e4"),
+    ("tpcds_lite", "window-k1"): (1, "a8a3677bbd60c531716a0df55b7d2d63d32b0255"),
+    ("tpcds_lite", "window-k8"): (8, "a64283dd455187916fac69e0d48215faa96429d2"),
+    ("tpcds_lite", "window-k24"): (24, "aa17c069dc2ec55c97851df1a87bdb4ce9375478"),
+    ("tpcds_lite", "window-k24-minleaf"): (17, "6a220ada1ee6ee728281c6aa06c86715f144dbd7"),
+    ("tpcds_lite", "static-k24"): (24, "07cb1ab0fad5a18cf0b6367ba2a573aa9ded766e"),
+    ("telemetry", "window-k1"): (1, "a8a3677bbd60c531716a0df55b7d2d63d32b0255"),
+    ("telemetry", "window-k8"): (8, "ab4015d372ddfb150ba2c226b50c665865fb30c2"),
+    ("telemetry", "window-k24"): (24, "54f4c1fdfb2610c718808ed5ddb5c62b120ddff5"),
+    ("telemetry", "window-k24-minleaf"): (15, "b2aea93d7a03707ce202d94075dcad2941026211"),
+    ("telemetry", "static-k24"): (24, "19f836252e569d29a583cfd99db7502242abccd9"),
+}
+# case -> (query slice, k, min_leaf_frac). The windows are 200 queries, as
+# the layout manager's sliding window; the static case passes all 3K
+# queries, so build_qdtree's 64-query subsample is exercised; a leaf-size
+# floor of 0.9 stops every tree here short of k.
+GOLDEN_CASES = {
+    "window-k1": (slice(1400, 1600), 1, 0.25),
+    "window-k8": (slice(1400, 1600), 8, 0.25),
+    "window-k24": (slice(1400, 1600), 24, 0.25),
+    "window-k24-minleaf": (slice(1400, 1600), 24, 0.9),
+    "static-k24": (slice(None), 24, 0.25),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_inputs(name):
+    frame = ds.build_pdf(name, sf=0.01, seed=1)
+    sample = frame.sample(n=2000, random_state=0).reset_index(drop=True)
+    wl = generate_workload(name, n_queries=3000, n_segments=20, seed=7)
+    return frame, sample, wl.queries
+
+
+@pytest.mark.parametrize("name,case", sorted(GOLDEN_TREES))
+def test_qdtree_golden_assignment(name, case):
+    frame, sample, queries = _golden_inputs(name)
+    window, k, frac = GOLDEN_CASES[case]
+    lay = build_qdtree(
+        sample, queries[window], k, categorical_cols=ds.SPECS[name].categorical_cols, min_leaf_frac=frac
+    )
+    digest = hashlib.sha1(lay.assign(frame).astype(np.int64).tobytes()).hexdigest()
+    assert (lay.n_partitions, digest) == GOLDEN_TREES[name, case]
 
 
 class TestZOrder:

@@ -1,6 +1,9 @@
 """Unit tests for partition metadata + metadata-only costing (soundness)."""
 import numpy as np
+import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.layouts.metadata import build_materialized
 from repro.workload import datasets as ds
@@ -83,6 +86,42 @@ class TestPruningSoundness:
     def test_unknown_column_is_never_pruned_on(self, pdf, mat):
         q = Query((RangePredicate("not_a_column", lo=0),))
         assert mat.cost(q) == 1.0
+
+    def test_nan_does_not_hide_matching_rows(self):
+        pdf = pd.DataFrame({"x": [1.0, np.nan, 5.0, np.nan]})
+        m = build_materialized(pdf, np.array([0, 0, 1, 2]), name="nan", categorical_cols=())
+        assert m.relevant_bids(Query((RangePredicate("x", lo=0, hi=2),))) == [0]
+        # An all-NaN partition has an empty range: no range query reads it.
+        assert (m.mins["x"][2], m.maxs["x"][2]) == (np.inf, -np.inf)
+        assert m.relevant_bids(Query((RangePredicate("x", hi=10),))) == [0, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([np.nan, -1.0, 0.0, 1.5, 2.0, 3.0]),
+                st.sampled_from(["a", "b", "o'b"]),
+                st.integers(0, 5),
+            ),
+            max_size=30,
+        ),
+        lo=st.none() | st.sampled_from([-2.0, 0.0, 1.5, 2.5]),
+        hi=st.none() | st.sampled_from([-1.0, 0.0, 2.0, 4.0]),
+        values=st.none() | st.frozensets(st.sampled_from(["a", "b", "o'b", "z"]), min_size=1),
+    )
+    def test_pruned_partition_never_holds_a_match(self, rows, lo, hi, values):
+        """Random frames with NaN, duplicates and empty BIDs, random predicates."""
+        pdf = pd.DataFrame(
+            {"x": np.array([r[0] for r in rows]), "s": np.array([r[1] for r in rows], dtype=object)}
+        )
+        bids = np.array([r[2] for r in rows], dtype=np.int64)
+        preds = [] if lo is None and hi is None else [RangePredicate("x", lo=lo, hi=hi)]
+        if values is not None:
+            preds.append(InPredicate("s", values))
+        q = Query(tuple(preds))
+        m = build_materialized(pdf, bids, name="h", categorical_cols=("s",))
+        keep = m.relevant_partitions(q)
+        assert not q.mask(pdf)[~keep[bids]].any()
 
 
 class TestCostModel:

@@ -119,3 +119,16 @@ class TestQuery:
                 assert n_sql == int(q.mask(pdf).sum())
         finally:
             con.close()
+
+    def test_quoted_value_matches_mask_via_duckdb(self):
+        """A value holding a single quote renders as a valid SQL literal."""
+        pdf = pd.DataFrame({"name": ["o'brien", "obrien", "o''brien", "smith", "'"]})
+        q = Query((InPredicate("name", frozenset({"o'brien", "smith", "'"})),))
+        con = duckdb.connect()
+        con.register("t", pdf)
+        try:
+            got = con.execute(f"SELECT name FROM t WHERE {q.to_sql_where()}").fetchdf()
+        finally:
+            con.close()
+        assert sorted(got["name"]) == sorted(pdf["name"][q.mask(pdf)])
+        assert len(got) == 3
