@@ -48,7 +48,15 @@ os.environ.setdefault(
 )
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+# Property tests explore new random examples on every local run. Under CI
+# (GitHub Actions sets CI) they replay a fixed sequence instead, so a CI
+# failure reproduces and a green run cannot turn red by chance.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,10 @@ parameters), differing only in the switching policy:
   space holding the best layout per query template.
 - **Offline Optimal** — knows the workload; switches to each segment's best
   layout exactly at the template boundary.
+
+Every driver compiles the query stream once and costs a layout against the
+whole stream when the layout enters its catalog; a per-query cost is then
+entry ``t`` of that cost column (see :mod:`repro.core.oreo`).
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from repro.layouts.qdtree import build_qdtree
 from repro.layouts.zorder import build_zorder
 from repro.workload.datasets import DatasetSpec
 from repro.workload.generator import Workload
-from repro.workload.queries import Query
+from repro.workload.queries import Query, compile_queries
 
 
 def _materialize(pdf, spec, layout) -> MaterializedLayout:
@@ -84,7 +88,7 @@ def run_static(
         pdf, spec, workload.queries, k, layout_kind=layout_kind,
         name=f"static:{layout_kind}", seed=seed,
     )
-    paid = mat.cost_vector(workload.queries)
+    paid = mat.cost_vector(compile_queries(workload.queries))
     return OreoResult(
         method=f"static:{layout_kind}",
         query_costs=paid,
@@ -104,7 +108,9 @@ def _run_candidate_policy(
         pdf, spec, k=k, layout_kind=layout_kind, strategy="sw",
         window=window, regen_every=regen_every, seed=seed,
     )
-    catalog: dict[str, MaterializedLayout] = {init.name: init}
+    stream = compile_queries(workload.queries)
+    # The catalog: each layout's cost column over the whole stream.
+    cols: dict[str, np.ndarray] = {init.name: init.cost_vector(stream)}
     current = init.name
     switcher = DelayedSwitcher(current, delta)
     # Regret bookkeeping: cumulative saving of each alternative vs current,
@@ -118,24 +124,24 @@ def _run_candidate_policy(
     n_moves = 0
     for t, q in enumerate(workload.queries):
         eff = switcher.at(t)
-        paid[t] = catalog[eff].cost(q)
+        paid[t] = cols[eff][t]
         served_on.append(eff)
 
         if policy == "regret":
-            cur_cost = catalog[current].cost(q)
+            cur_cost = cols[current][t]
             for alt in savings:
-                savings[alt] += cur_cost - catalog[alt].cost(q)
+                savings[alt] += cur_cost - cols[alt][t]
 
         for cand in gen.step(q):
-            catalog[cand.name] = cand
+            cols[cand.name] = cand.cost_vector(stream)
             if policy == "regret":
                 savings[cand.name] = 0.0
                 while len(savings) > max_alts:
                     savings.pop(next(iter(savings)))
 
             if policy == "greedy":
-                wq = list(gen.window)
-                if cand.cost_vector(wq).mean() < catalog[current].cost_vector(wq).mean():
+                win = slice(t + 1 - len(gen.window), t + 1)
+                if cols[cand.name][win].mean() < cols[current][win].mean():
                     current = cand.name
                     n_moves += 1
                     switcher.decide(t, current)
@@ -154,7 +160,7 @@ def _run_candidate_policy(
         reorg_cost=n_moves * alpha,
         n_moves=n_moves,
         layout_per_query=served_on,
-        n_candidates=len(catalog) - 1,
+        n_candidates=len(cols) - 1,
     )
 
 
@@ -218,15 +224,16 @@ def run_mts_optimal(
     layouts = layouts or per_template_layouts(
         pdf, spec, workload, k, layout_kind=layout_kind, seed=seed
     )
-    catalog = {m.name: m for m in layouts.values()}
-    reorg = Reorganizer(sorted(catalog), alpha=alpha, gamma=gamma, seed=seed)
+    stream = compile_queries(workload.queries)
+    cols = {m.name: m.cost_vector(stream) for m in layouts.values()}
+    reorg = Reorganizer(sorted(cols), alpha=alpha, gamma=gamma, seed=seed)
     paid = np.zeros(len(workload))
     served_on: list[str] = []
-    for t, q in enumerate(workload.queries):
+    for t in range(len(workload)):
         served = reorg.current
-        paid[t] = catalog[served].cost(q)
+        paid[t] = cols[served][t]
         served_on.append(served)
-        reorg.observe({s: catalog[s].cost(q) for s in reorg.states})
+        reorg.observe({s: cols[s][t] for s in reorg.states})
     return OreoResult(
         method=f"mts_optimal:{layout_kind}",
         query_costs=paid,
@@ -234,7 +241,7 @@ def run_mts_optimal(
         n_moves=reorg.n_moves,
         layout_per_query=served_on,
         n_phases=reorg.n_phases,
-        n_states_max=len(catalog),
+        n_states_max=len(cols),
     )
 
 
@@ -255,10 +262,9 @@ def run_offline_optimal(
     )
     names = sorted(m.name for m in layouts.values())
     idx = {n: i for i, n in enumerate(names)}
-    catalog = {m.name: m for m in layouts.values()}
-    cost_mat = np.stack(
-        [catalog[n].cost_vector(workload.queries) for n in names], axis=1
-    )
+    stream = compile_queries(workload.queries)
+    cols = {m.name: m.cost_vector(stream) for m in layouts.values()}
+    cost_mat = np.stack([cols[n] for n in names], axis=1)
     seg_best = [
         idx[layouts[tid].name] for tid in workload.segment_templates
     ]

@@ -17,10 +17,16 @@ of recent queries", §VI-A3):
   evaluated on the R-TBS sample) is at least ε. When the state space
   exceeds ``max_states``, the non-current state closest to the remainder of
   the space is pruned (a state-removal query to the reorganizer).
+
+The manager compiles its query stream once and costs each layout against
+the whole stream when the layout is generated (``columns``); the reservoir
+holds stream positions, so a cost vector on the sample is an index into a
+column.
 """
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +37,7 @@ from repro.layouts.metadata import MaterializedLayout, build_materialized
 from repro.layouts.qdtree import build_qdtree
 from repro.layouts.zorder import build_zorder
 from repro.workload.datasets import DatasetSpec
-from repro.workload.queries import Query
+from repro.workload.queries import Query, compile_queries
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,7 @@ class LayoutManager:
         self,
         generator: CandidateGenerator,
         initial: MaterializedLayout,
+        queries: Sequence[Query],
         *,
         epsilon: float = 0.08,
         eval_sample_size: int = 50,
@@ -140,13 +147,17 @@ class LayoutManager:
         self.gen = generator
         self.epsilon = epsilon
         self.max_states = max_states
-        self.eval_reservoir: TimeBiasedReservoir[Query] = TimeBiasedReservoir(
+        self.stream = compile_queries(queries)
+        # Stream positions of a time-biased sample of the queries seen.
+        self.eval_reservoir: TimeBiasedReservoir[int] = TimeBiasedReservoir(
             size=eval_sample_size, lam=rtbs_lam, seed=seed + 2
         )
         # catalog: every layout ever admitted (metadata is tiny; kept so the
         # driver can keep serving on a layout during the background-reorg
-        # delay even after it left the state space).
+        # delay even after it left the state space), and its cost column
+        # over the whole stream.
         self.catalog: dict[str, MaterializedLayout] = {initial.name: initial}
+        self.columns: dict[str, np.ndarray] = {initial.name: initial.cost_vector(self.stream)}
         # The current dynamic state space (subset of catalog keys).
         self.space: list[str] = [initial.name]
         self.n_generated = 0
@@ -159,31 +170,31 @@ class LayoutManager:
             return 1.0
         return float(np.mean(np.abs(ci - cj)))
 
-    def step(self, q: Query, current_state: str) -> list[StateEvent]:
-        """Observe one query; emit add/remove state-management events."""
-        self.eval_reservoir.add(q)
+    def step(self, t: int, current_state: str) -> list[StateEvent]:
+        """Observe query ``t`` of the stream; emit add/remove state events."""
+        self.eval_reservoir.add(t)
         events: list[StateEvent] = []
-        for cand in self.gen.step(q):
+        for cand in self.gen.step(self.stream.queries[t]):
             self.n_generated += 1
-            sample = self.eval_reservoir.sample()
-            cv = cand.cost_vector(sample)
+            sample = np.asarray(self.eval_reservoir.sample(), dtype=np.intp)
+            col = cand.cost_vector(self.stream)
             dists = [
-                self.distance(cv, self.catalog[s].cost_vector(sample))
-                for s in self.space
+                self.distance(col[sample], self.columns[s][sample]) for s in self.space
             ]
             if min(dists, default=1.0) >= self.epsilon:
                 self.n_admitted += 1
                 self.catalog[cand.name] = cand
+                self.columns[cand.name] = col
                 self.space.append(cand.name)
                 events.append(StateEvent("add", cand.name, cand))
                 events.extend(self._prune(current_state, sample))
         return events
 
-    def _prune(self, current_state: str, sample: list[Query]) -> list[StateEvent]:
+    def _prune(self, current_state: str, sample: np.ndarray) -> list[StateEvent]:
         """Remove the most redundant non-current state when over budget."""
         events: list[StateEvent] = []
         while len(self.space) > self.max_states:
-            vecs = {s: self.catalog[s].cost_vector(sample) for s in self.space}
+            vecs = {s: self.columns[s][sample] for s in self.space}
             victims = [s for s in self.space if s != current_state]
             # Redundancy of s = distance to its nearest neighbour in the space.
             def nearest(s: str) -> float:

@@ -15,6 +15,13 @@ Ties the LAYOUT MANAGER and the REORGANIZER together over a query stream:
 
 Costs follow the paper's logical model: service cost = fraction of data
 accessed (∈[0,1]), movement cost = α full-scan equivalents.
+
+Costing is batched: the layout manager compiles the stream once and costs
+each layout against every query of it when the layout is generated, so
+every per-query cost here is entry ``t`` of a layout's cost column. The
+columns include queries not yet seen, but that changes no decision: at
+query ``t`` the driver, the layout manager and the reorganizer read only
+entries up to ``t``, exactly the costs the per-query calls computed.
 """
 from __future__ import annotations
 
@@ -136,11 +143,13 @@ def run_oreo(
     manager = LayoutManager(
         gen,
         init,
+        workload.queries,
         epsilon=epsilon,
         eval_sample_size=eval_sample_size,
         max_states=max_states,
         seed=seed,
     )
+    cols = manager.columns
     reorg = Reorganizer(
         [init.name], alpha=alpha, gamma=gamma, stay_on_reset=True, seed=seed
     )
@@ -149,18 +158,18 @@ def run_oreo(
     paid = np.zeros(len(workload))
     served_on: list[str] = []
     n_states_max = 1
-    phase_queries: list = []  # queries of the current phase, for replay init
+    phase_start = 0  # first query of the current phase, for replay init
     last_phase = reorg.n_phases
-    for t, q in enumerate(workload.queries):
+    for t in range(len(workload)):
         # The layout actually serving this query (honours the Δ delay).
         eff = switcher.at(t)
-        paid[t] = manager.catalog[eff].cost(q)
+        paid[t] = cols[eff][t]
         served_on.append(eff)
 
-        for ev in manager.step(q, reorg.current):
+        for ev in manager.step(t, reorg.current):
             if ev.kind == "add":
                 if admit_mode == "replay":
-                    counter = float(ev.layout.cost_vector(phase_queries).sum())
+                    counter = float(cols[ev.name][phase_start:t].sum())
                 elif admit_mode == "median":
                     counter = reorg.median_counter()
                 else:
@@ -173,15 +182,13 @@ def run_oreo(
                     switcher.decide(t, reorg.current)
         n_states_max = max(n_states_max, len(reorg.states))
 
-        costs = {s: manager.catalog[s].cost(q) for s in reorg.states}
         before = reorg.current
-        after = reorg.observe(costs)
+        after = reorg.observe({s: cols[s][t] for s in reorg.states})
         if after != before:
             switcher.decide(t, after)
-        phase_queries.append(q)
         if reorg.n_phases != last_phase:
             last_phase = reorg.n_phases
-            phase_queries = []
+            phase_start = t + 1
 
     return OreoResult(
         method="oreo",

@@ -7,10 +7,16 @@ estimate query costs incurred by different layouts without accessing the
 underlying dataset" (§VI-A1). This module is that machinery:
 
 - :class:`MaterializedLayout` — per-partition row counts, per-column
-  min/max arrays (numeric) and distinct-value sets (categorical), with a
-  vectorized ``cost(query)`` = fraction of rows in partitions that the
-  metadata cannot prove irrelevant. This is the service cost ``c(s, q)``
-  of the D-UMTS formulation and the basis of ``eval_skipped``.
+  min/max arrays (numeric) and distinct-value sets (categorical).
+  ``cost_vector`` costs a whole compiled query stream
+  (:func:`~repro.workload.queries.compile_queries`) in one pass: a (Q × P)
+  keep mask from broadcast comparisons against the min/max arrays and,
+  per categorical column, ``mask @ presence.T`` against a (P × V)
+  distinct-value matrix over the stream's vocabulary; then
+  ``keep @ rows / n_rows``, the fraction of rows in partitions the metadata
+  cannot prove irrelevant. This is the service cost ``c(s, q)`` of the
+  D-UMTS formulation. ``cost``, ``relevant_partitions`` and
+  ``relevant_bids`` are the one-query calls through the same kernel.
 - :func:`build_materialized` — compute that metadata from a pandas frame
   plus a BID assignment, the same stats a Parquet writer would put in
   file footers.
@@ -24,12 +30,13 @@ predicate, so no NaN row ever needs its partition read.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 
-from repro.workload.queries import InPredicate, Query, RangePredicate
+from repro.workload.queries import CompiledQueries, Query, compile_queries
 
 
 @dataclass
@@ -46,29 +53,38 @@ class MaterializedLayout:
     # The generator object that produced this layout (has .assign), if any.
     layout: object | None = field(default=None, repr=False, compare=False)
 
+    def _keep(self, stream: CompiledQueries) -> np.ndarray:
+        """(Q, P) mask of the partitions each query of ``stream`` must read.
+
+        A partition is kept unless some predicate's range misses its min/max
+        or some IN predicate's values miss its distinct values. Columns
+        without stats never prune.
+        """
+        keep = np.ones((len(stream), self.n_partitions), dtype=bool)
+        for col, lo in stream.lo.items():
+            if col in self.mins:
+                keep &= self.maxs[col] >= lo[:, None]
+                keep &= self.mins[col] <= stream.hi[col][:, None]
+        for col, (vocab, slots) in stream.ins.items():
+            sets = self.distinct.get(col)
+            if sets is None:
+                continue
+            presence = np.array(
+                [[v in s for v in vocab] for s in sets], dtype=np.float32
+            ).reshape(self.n_partitions, len(vocab))
+            for mask, has in slots:
+                keep &= (mask @ presence.T > 0) | ~has[:, None]
+        return keep
+
+    def _cost(self, keep: np.ndarray) -> np.ndarray:
+        """Fraction of rows in the kept partitions: an exact integer row sum."""
+        if self.n_rows == 0:
+            return np.zeros(keep.shape[:-1])
+        return keep.astype(np.int64) @ self.rows / self.n_rows
+
     def relevant_partitions(self, query: Query) -> np.ndarray:
         """Boolean mask over partitions that must be read for ``query``."""
-        keep = np.ones(self.n_partitions, dtype=bool)
-        for p in query.predicates:
-            if isinstance(p, RangePredicate):
-                if p.col not in self.mins:
-                    continue  # no stats for this column: cannot prune
-                if p.lo is not None:
-                    keep &= self.maxs[p.col] >= p.lo
-                if p.hi is not None:
-                    keep &= self.mins[p.col] <= p.hi
-            elif isinstance(p, InPredicate):
-                sets = self.distinct.get(p.col)
-                if sets is None:
-                    continue
-                keep &= np.fromiter(
-                    (not p.values.isdisjoint(s) for s in sets),
-                    dtype=bool,
-                    count=self.n_partitions,
-                )
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown predicate type {type(p)}")
-        return keep
+        return self._keep(compile_queries((query,)))[0]
 
     def relevant_bids(self, query: Query) -> list[int]:
         """Partition ids that must be read — the ``BID IN (...)`` list."""
@@ -76,20 +92,23 @@ class MaterializedLayout:
 
     def cost(self, query: Query) -> float:
         """Service cost c(s, q): fraction of rows in non-skipped partitions."""
-        if self.n_rows == 0:
-            return 0.0
-        keep = self.relevant_partitions(query)
-        return float(self.rows[keep].sum() / self.n_rows)
+        return float(self._cost(self.relevant_partitions(query)))
 
-    def eval_skipped(self, queries: list[Query] | tuple[Query, ...]) -> float:
+    def cost_vector(self, queries: CompiledQueries | Sequence[Query]) -> np.ndarray:
+        """Service cost of every query of a stream, in one pass.
+
+        ``queries`` is a stream compiled by :func:`compile_queries`, or a
+        sequence of queries to compile first.
+        """
+        if not isinstance(queries, CompiledQueries):
+            queries = compile_queries(queries)
+        return self._cost(self._keep(queries))
+
+    def eval_skipped(self, queries: Sequence[Query]) -> float:
         """Average fraction of data *skipped* over ``queries`` (paper API)."""
         if not queries:
             return 0.0
-        return float(np.mean([1.0 - self.cost(q) for q in queries]))
-
-    def cost_vector(self, queries: list[Query] | tuple[Query, ...]) -> np.ndarray:
-        """Per-query cost vector, used by the layout manager's ε-distance."""
-        return np.asarray([self.cost(q) for q in queries], dtype=float)
+        return float(np.mean(1.0 - self.cost_vector(queries)))
 
 
 def build_materialized(

@@ -13,10 +13,15 @@ high-cardinality columns for this reason):
 Each predicate knows how to (a) evaluate itself row-wise on a pandas frame
 (ground truth / Spark-free correctness), and (b) render itself as a SQL
 WHERE clause fragment for Spark SQL and the DuckDB oracle.
+
+:func:`compile_queries` turns a query stream into arrays once, so that the
+metadata cost model can cost a whole stream against a layout in one pass
+(:meth:`repro.layouts.metadata.MaterializedLayout.cost_vector`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -105,3 +110,77 @@ class Query:
     @property
     def columns(self) -> tuple[str, ...]:
         return tuple(p.col for p in self.predicates)
+
+
+@dataclass(frozen=True)
+class CompiledQueries:
+    """A query stream as arrays, one row per query.
+
+    - ``lo``/``hi``: per range-filtered column, the query's combined bounds,
+      ``-inf``/``inf`` where it sets none. Repeated range predicates on one
+      column combine as max(lo) / min(hi).
+    - ``ins``: per IN-filtered column, the sorted vocabulary of the values
+      the stream names, and one ``(mask, has)`` pair per IN-predicate slot:
+      ``mask`` (Q × V) is 1 at the values of a query's k-th IN predicate on
+      the column, and ``has`` (Q,) says whether the query has one. Masks are
+      float32 so that overlap counts are an exact BLAS product. Two IN
+      predicates on one column stay two overlap tests; their value sets are
+      not intersected.
+    """
+
+    queries: tuple[Query, ...]
+    lo: dict[str, np.ndarray]
+    hi: dict[str, np.ndarray]
+    ins: dict[str, tuple[tuple[str, ...], tuple[tuple[np.ndarray, np.ndarray], ...]]]
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+
+def compile_queries(queries) -> CompiledQueries:
+    """Compile ``queries`` (any iterable of :class:`Query`) into arrays."""
+    queries = tuple(queries)
+    n = len(queries)
+    lo: dict[str, list[float]] = {}
+    hi: dict[str, list[float]] = {}
+    slots: dict[str, list[dict[int, frozenset]]] = {}  # col -> k -> {i: values}
+    for i, q in enumerate(queries):
+        seen: Counter = Counter()
+        for p in q.predicates:
+            if isinstance(p, RangePredicate):
+                if p.col not in lo:
+                    lo[p.col] = [-np.inf] * n
+                    hi[p.col] = [np.inf] * n
+                if p.lo is not None:
+                    lo[p.col][i] = max(lo[p.col][i], p.lo)
+                if p.hi is not None:
+                    hi[p.col][i] = min(hi[p.col][i], p.hi)
+            elif isinstance(p, InPredicate):
+                col_slots = slots.setdefault(p.col, [])
+                if seen[p.col] == len(col_slots):
+                    col_slots.append({})
+                col_slots[seen[p.col]][i] = p.values
+                seen[p.col] += 1
+            else:
+                raise TypeError(f"unknown predicate type {type(p)}")
+
+    ins = {}
+    for col, col_slots in slots.items():
+        vocab = tuple(sorted(set().union(*(v for s in col_slots for v in s.values()))))
+        index = {v: j for j, v in enumerate(vocab)}
+        compiled = []
+        for by_query in col_slots:
+            rows = [i for i, values in by_query.items() for _ in values]
+            codes = [index[v] for values in by_query.values() for v in values]
+            mask = np.zeros((n, len(vocab)), dtype=np.float32)
+            mask[rows, codes] = 1
+            has = np.zeros(n, dtype=bool)
+            has[list(by_query)] = True
+            compiled.append((mask, has))
+        ins[col] = (vocab, tuple(compiled))
+    return CompiledQueries(
+        queries,
+        {c: np.array(v, dtype=np.float64) for c, v in lo.items()},
+        {c: np.array(v, dtype=np.float64) for c, v in hi.items()},
+        ins,
+    )

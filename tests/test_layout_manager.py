@@ -72,12 +72,12 @@ class TestCandidateGenerator:
 
 
 class TestLayoutManager:
-    def _manager(self, pdf, **kw):
+    def _manager(self, pdf, workload, **kw):
         gen = make_gen(pdf)
         init = default_layout(pdf, ds.TPCH_LITE, 8)
         args = dict(epsilon=0.08, eval_sample_size=30, max_states=5, seed=0)
         args.update(kw)
-        return LayoutManager(gen, init, **args), init
+        return LayoutManager(gen, init, workload.queries, **args), init
 
     def test_distance_metric(self):
         a, b = np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.5, 0.5])
@@ -86,30 +86,30 @@ class TestLayoutManager:
         assert LayoutManager.distance(np.array([]), np.array([])) == 1.0
 
     def test_epsilon_one_admits_nothing(self, pdf, workload):
-        man, init = self._manager(pdf, epsilon=1.0)
-        for q in workload.queries[:300]:
-            man.step(q, init.name)
+        man, init = self._manager(pdf, workload, epsilon=1.0)
+        for t in range(300):
+            man.step(t, init.name)
         assert man.space == [init.name]
         assert man.n_generated > 0 and man.n_admitted == 0
 
     def test_epsilon_zero_admits_everything(self, pdf, workload):
-        man, init = self._manager(pdf, epsilon=0.0, max_states=100)
-        for q in workload.queries[:300]:
-            man.step(q, init.name)
+        man, init = self._manager(pdf, workload, epsilon=0.0, max_states=100)
+        for t in range(300):
+            man.step(t, init.name)
         assert man.n_admitted == man.n_generated > 0
 
     def test_admission_events_are_adds(self, pdf, workload):
-        man, init = self._manager(pdf, epsilon=0.0, max_states=100)
+        man, init = self._manager(pdf, workload, epsilon=0.0, max_states=100)
         evs = []
-        for q in workload.queries[:200]:
-            evs.extend(man.step(q, init.name))
+        for t in range(200):
+            evs.extend(man.step(t, init.name))
         assert evs and all(e.kind == "add" and e.layout is not None for e in evs)
 
     def test_max_states_prunes_but_spares_current(self, pdf, workload):
-        man, init = self._manager(pdf, epsilon=0.0, max_states=3)
+        man, init = self._manager(pdf, workload, epsilon=0.0, max_states=3)
         removed = []
-        for q in workload.queries[:400]:
-            for e in man.step(q, init.name):
+        for t in range(400):
+            for e in man.step(t, init.name):
                 if e.kind == "remove":
                     removed.append(e.name)
         assert len(man.space) <= 3
@@ -117,9 +117,9 @@ class TestLayoutManager:
         assert init.name not in removed
 
     def test_catalog_keeps_pruned_layouts(self, pdf, workload):
-        man, init = self._manager(pdf, epsilon=0.0, max_states=2)
-        for q in workload.queries[:400]:
-            man.step(q, init.name)
+        man, init = self._manager(pdf, workload, epsilon=0.0, max_states=2)
+        for t in range(400):
+            man.step(t, init.name)
         # Catalog only grows; the space is bounded.
         assert len(man.catalog) == man.n_admitted + 1
         assert len(man.space) <= 2
@@ -127,12 +127,12 @@ class TestLayoutManager:
     def test_higher_epsilon_admits_fewer(self, pdf, workload):
         admitted = {}
         for eps in (0.02, 0.3):
-            man, init = self._manager(pdf, epsilon=eps, max_states=100)
-            for q in workload.queries[:400]:
-                man.step(q, init.name)
+            man, init = self._manager(pdf, workload, epsilon=eps, max_states=100)
+            for t in range(400):
+                man.step(t, init.name)
             admitted[eps] = man.n_admitted
         assert admitted[0.3] <= admitted[0.02]
 
-    def test_rejects_bad_epsilon(self, pdf):
+    def test_rejects_bad_epsilon(self, pdf, workload):
         with pytest.raises(ValueError):
-            self._manager(pdf, epsilon=1.5)
+            self._manager(pdf, workload, epsilon=1.5)

@@ -5,11 +5,15 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.layouts.fixed import build_fixed
 from repro.layouts.metadata import build_materialized
 from repro.layouts.qdtree import CatCut, NumCut, build_qdtree, harvest_cuts
-from repro.layouts.zorder import _interleave, build_zorder, top_queried_columns
+from repro.layouts.zorder import (
+    BITS, _interleave, build_zorder, sorted_quantiles, top_queried_columns,
+)
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
 from repro.workload.queries import InPredicate, Query, RangePredicate
@@ -274,3 +278,39 @@ class TestZOrder:
     def test_rejects_bad_k(self, pdf, workload):
         with pytest.raises(ValueError):
             build_zorder(pdf, workload.queries, 0)
+
+    def test_nan_does_not_poison_rank_bounds(self):
+        sample = ds.build_pdf("telemetry", sf=0.005, seed=7)
+        qs = generate_workload("telemetry", n_queries=200, n_segments=2, seed=7).queries
+        cats = ds.TELEMETRY.categorical_cols
+        col = next(c for c in build_zorder(sample, qs, 8, categorical_cols=cats).cols if c not in cats)
+        sample[col] = sample[col].astype(np.float64)
+        sample.loc[::7, col] = np.nan
+        lay = build_zorder(sample, qs, 8, categorical_cols=cats)
+        bounds = np.asarray(lay.rank_bounds[lay.cols.index(col)])
+        assert len(bounds) == (1 << BITS) - 1
+        assert np.isfinite(bounds).all() and (np.diff(bounds) >= 0).all()
+        # NaN rows rank past the last boundary and still get a valid BID.
+        bids = lay.assign(sample)
+        assert ((bids >= 0) & (bids < lay.n_partitions)).all()
+        assert lay.n_partitions > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 5000),
+    distinct=st.sampled_from([1, 2, 3, 10, 1000, 10**12]),
+    is_float=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, distinct=1, is_float=False, seed=0)
+@example(n=5000, distinct=2, is_float=True, seed=0)
+@example(n=4000, distinct=10**12, is_float=False, seed=1)
+def test_sorted_quantiles_equal_numpy(n, distinct, is_float, seed):
+    """The one-sort quantiles are np.quantile's, bit for bit (heavy duplicates too)."""
+    g = np.random.default_rng(seed)
+    v = g.integers(-distinct, distinct + 1, n)
+    if is_float:
+        v = v * 0.37 + g.normal(scale=1e-3) * (distinct > 100)
+    for qs in (np.linspace(0, 1, (1 << BITS) + 1)[1:-1], g.random(64), np.array([0.0, 0.5, 1.0])):
+        assert np.array_equal(sorted_quantiles(v, qs), np.quantile(v, qs))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.layouts.metadata import build_materialized
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
-from repro.workload.queries import InPredicate, Query, RangePredicate
+from repro.workload.queries import InPredicate, Query, RangePredicate, compile_queries
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +122,93 @@ class TestPruningSoundness:
         m = build_materialized(pdf, bids, name="h", categorical_cols=("s",))
         keep = m.relevant_partitions(q)
         assert not q.mask(pdf)[~keep[bids]].any()
+
+
+def reference_keep(m, q: Query) -> np.ndarray:
+    """The per-predicate loop the batched kernel replaced."""
+    keep = np.ones(m.n_partitions, dtype=bool)
+    for p in q.predicates:
+        if isinstance(p, RangePredicate):
+            if p.col not in m.mins:
+                continue
+            if p.lo is not None:
+                keep &= m.maxs[p.col] >= p.lo
+            if p.hi is not None:
+                keep &= m.mins[p.col] <= p.hi
+        else:
+            sets = m.distinct.get(p.col)
+            if sets is None:
+                continue
+            keep &= np.array([not p.values.isdisjoint(s) for s in sets], dtype=bool)
+    return keep
+
+
+def reference_cost(m, q: Query) -> float:
+    if m.n_rows == 0:
+        return 0.0
+    return float(m.rows[reference_keep(m, q)].sum() / m.n_rows)
+
+
+BOUNDS = [-2.0, -1.0, 0.0, 1.5, 2.0, 2.5, 4.0]
+# "y" is in the frame but has no stats; "w" is in neither.
+range_preds = (
+    st.tuples(
+        st.sampled_from(["x", "x", "y", "w"]),
+        st.none() | st.sampled_from(BOUNDS),
+        st.none() | st.sampled_from(BOUNDS),
+    )
+    .filter(lambda t: t[1] is not None or t[2] is not None)
+    .map(lambda t: RangePredicate(*t))
+)
+in_preds = st.builds(
+    InPredicate,
+    st.sampled_from(["s", "s", "t", "w"]),
+    # "z" and "q" never occur in the data.
+    st.frozensets(st.sampled_from(["a", "b", "o'b", "z", "q"]), min_size=1, max_size=3),
+)
+queries_st = st.lists(
+    st.builds(Query, st.lists(range_preds | in_preds, max_size=4).map(tuple)),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([np.nan, -1.0, 0.0, 1.5, 2.0, 3.0]),
+            st.sampled_from([0.0, 1.0]),
+            st.sampled_from(["a", "b", "o'b"]),
+            st.sampled_from(["a", "c"]),
+            st.integers(0, 5),
+        ),
+        max_size=30,
+    ),
+    queries=queries_st,
+)
+def test_cost_vector_equals_per_query_reference(rows, queries):
+    """Batched costing equals the per-predicate loop exactly, on random frames
+    with NaN, duplicate rows and empty BIDs (and no rows at all), for queries
+    with repeated predicates on one column, absent IN values, columns without
+    stats and no predicates."""
+    pdf = pd.DataFrame(
+        {
+            "x": np.array([r[0] for r in rows], dtype=np.float64),
+            "y": np.array([r[1] for r in rows], dtype=np.float64),
+            "s": np.array([r[2] for r in rows], dtype=object),
+            "t": np.array([r[3] for r in rows], dtype=object),
+        }
+    )
+    bids = np.array([r[4] for r in rows], dtype=np.int64)
+    m = build_materialized(pdf, bids, name="h", categorical_cols=("s", "t"), numeric_cols=("x",))
+    stream = compile_queries(queries)
+    want = np.array([reference_cost(m, q) for q in queries], dtype=float)
+    assert np.array_equal(m.cost_vector(stream), want)
+    keep = m._keep(stream)
+    for i, q in enumerate(queries):
+        assert np.array_equal(keep[i], reference_keep(m, q))
+        assert m.relevant_bids(q) == np.flatnonzero(keep[i]).tolist()
+        assert m.cost(q) == want[i]
 
 
 class TestCostModel:

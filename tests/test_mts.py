@@ -1,6 +1,8 @@
 """Unit tests for the D-UMTS Reorganizer (Algorithms 1-4) and its theory."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.optimal import offline_opt_dp, schedule_cost
 from repro.core.mts import Reorganizer
@@ -262,3 +264,44 @@ class TestPredictor:
             r.active = {"a", "b", "c", "d"}
             hits += r._draw_next() == "a"
         assert hits >= 35  # uniform would give ~12.5
+
+
+POOL = list("abcdef")
+ops_st = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(POOL), st.none() | st.sampled_from([0.0, 1.0, 2.9, 3.0, 5.0])),
+        st.tuples(st.just("remove"), st.sampled_from(POOL)),
+        st.tuples(st.just("observe"), st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=6, max_size=6)),
+    ),
+    max_size=80,
+)
+
+
+class TestInvariants:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ops=ops_st,
+        gamma=st.sampled_from([0.0, 1.0, 3.0]),
+        stay_on_reset=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_adversarial_add_remove_observe(self, ops, gamma, stay_on_reset, seed):
+        """active ⊆ states, moves land on active states, active counters < α."""
+        r = Reorganizer(["a", "b"], alpha=3.0, gamma=gamma, stay_on_reset=stay_on_reset, seed=seed)
+        for op in ops:
+            n_moves = r.n_moves
+            if op[0] == "add":
+                r.add_state(op[1], counter=op[2])
+            elif op[0] == "remove":
+                if r.states == {op[1]}:
+                    with pytest.raises(ValueError):
+                        r.remove_state(op[1])
+                    continue
+                r.remove_state(op[1])
+            else:
+                r.observe(dict(zip(POOL, op[1])))
+            assert r.active <= r.states
+            assert r.current in r.states
+            assert all(r.counters[s] < r.alpha for s in r.active)
+            for mv in r.moves[n_moves:]:
+                assert mv.dst in r.active and mv.dst != mv.src
