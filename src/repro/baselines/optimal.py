@@ -62,12 +62,10 @@ def offline_optimal_schedule(
     return sched.tolist()
 
 
-def schedule_cost(
-    costs: np.ndarray, schedule: list[int], alpha: float, *, count_first_move: bool = False
-) -> tuple[float, float, int]:
+def schedule_cost(costs: np.ndarray, schedule: list[int], alpha: float) -> tuple[float, float, int]:
     """Total (service, movement, n_moves) of an explicit schedule."""
     costs = np.asarray(costs, dtype=float)
     sched = np.asarray(schedule, dtype=int)
     service = float(costs[np.arange(len(sched)), sched].sum())
-    moves = int((sched[1:] != sched[:-1]).sum()) + (1 if count_first_move else 0)
+    moves = int((sched[1:] != sched[:-1]).sum())
     return service, moves * float(alpha), moves

@@ -18,7 +18,8 @@ parameters), differing only in the switching policy:
 
 Every driver compiles the query stream once and costs a layout against the
 whole stream when the layout enters its catalog; a per-query cost is then
-entry ``t`` of that cost column (see :mod:`repro.core.oreo`).
+entry ``t`` of that cost column. The online drivers record the state held
+after each query and return through :func:`repro.core.oreo.settle`.
 """
 from __future__ import annotations
 
@@ -26,52 +27,17 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.optimal import offline_optimal_schedule, schedule_cost
-from repro.core.layout_manager import CandidateGenerator
+from repro.core.layout_manager import CandidateGenerator, build_layout, data_sample
 from repro.core.mts import Reorganizer
-from repro.core.oreo import DelayedSwitcher, OreoResult, default_layout
-from repro.layouts.metadata import MaterializedLayout, build_materialized
-from repro.layouts.qdtree import build_qdtree
-from repro.layouts.zorder import build_zorder
+from repro.core.oreo import OreoResult, default_layout, settle
+from repro.layouts.metadata import MaterializedLayout
 from repro.workload.datasets import DatasetSpec
 from repro.workload.generator import Workload
 from repro.workload.queries import Query, compile_queries
 
-
-def _materialize(pdf, spec, layout) -> MaterializedLayout:
-    return build_materialized(
-        pdf,
-        layout.assign(pdf),
-        name=layout.name,
-        categorical_cols=spec.categorical_cols,
-        layout=layout,
-    )
-
-
-def build_workload_layout(
-    pdf: pd.DataFrame,
-    spec: DatasetSpec,
-    queries,
-    k: int,
-    *,
-    layout_kind: str = "qdtree",
-    name: str,
-    build_sample_rows: int = 4_000,
-    seed: int = 0,
-) -> MaterializedLayout:
-    """Build + materialize one workload-aware layout from ``queries``."""
-    n = min(len(pdf), build_sample_rows)
-    sample = pdf.sample(n=n, random_state=seed).reset_index(drop=True)
-    if layout_kind == "qdtree":
-        lay = build_qdtree(
-            sample, queries, k, categorical_cols=spec.categorical_cols, name=name, seed=seed
-        )
-    elif layout_kind == "zorder":
-        lay = build_zorder(
-            sample, queries, k, categorical_cols=spec.categorical_cols, name=name
-        )
-    else:
-        raise ValueError(f"unknown layout kind {layout_kind!r}")
-    return _materialize(pdf, spec, lay)
+# Regret keeps savings for at most this many recent candidates: older window
+# layouts are superseded by newer ones for the same workload.
+REGRET_MAX_ALTS = 8
 
 
 def run_static(
@@ -84,9 +50,9 @@ def run_static(
     seed: int = 0,
 ) -> OreoResult:
     """Offline single layout optimized for the whole workload; no reorgs."""
-    mat = build_workload_layout(
-        pdf, spec, workload.queries, k, layout_kind=layout_kind,
-        name=f"static:{layout_kind}", seed=seed,
+    mat = build_layout(
+        pdf, spec, data_sample(pdf, seed), workload.queries, k,
+        layout_kind=layout_kind, name=f"static:{layout_kind}", seed=seed,
     )
     paid = mat.cost_vector(compile_queries(workload.queries))
     return OreoResult(
@@ -98,91 +64,69 @@ def run_static(
     )
 
 
-def _run_candidate_policy(
-    pdf, spec, workload, *, policy: str, alpha: float, k: int,
-    layout_kind: str, window: int, regen_every: int, delta: int, seed: int,
-) -> OreoResult:
-    """Shared driver for Greedy and Regret over the common candidate stream."""
+def _candidate_stream(pdf, spec, workload, k, layout_kind, window, regen_every, seed):
+    """The default layout, OREO's sliding-window candidate generator, the
+    compiled stream and the cost columns (the default layout's only)."""
     init = default_layout(pdf, spec, k)
     gen = CandidateGenerator(
         pdf, spec, k=k, layout_kind=layout_kind, strategy="sw",
         window=window, regen_every=regen_every, seed=seed,
     )
     stream = compile_queries(workload.queries)
-    # The catalog: each layout's cost column over the whole stream.
-    cols: dict[str, np.ndarray] = {init.name: init.cost_vector(stream)}
-    current = init.name
-    switcher = DelayedSwitcher(current, delta)
-    # Regret bookkeeping: cumulative saving of each alternative vs current,
-    # reset on every switch. Bounded to the most recent candidates — older
-    # window layouts are superseded by newer ones for the same workload.
-    savings: dict[str, float] = {}
-    max_alts = 8
-
-    paid = np.zeros(len(workload))
-    served_on: list[str] = []
-    n_moves = 0
-    for t, q in enumerate(workload.queries):
-        eff = switcher.at(t)
-        paid[t] = cols[eff][t]
-        served_on.append(eff)
-
-        if policy == "regret":
-            cur_cost = cols[current][t]
-            for alt in savings:
-                savings[alt] += cur_cost - cols[alt][t]
-
-        for cand in gen.step(q):
-            cols[cand.name] = cand.cost_vector(stream)
-            if policy == "regret":
-                savings[cand.name] = 0.0
-                while len(savings) > max_alts:
-                    savings.pop(next(iter(savings)))
-
-            if policy == "greedy":
-                win = slice(t + 1 - len(gen.window), t + 1)
-                if cols[cand.name][win].mean() < cols[current][win].mean():
-                    current = cand.name
-                    n_moves += 1
-                    switcher.decide(t, current)
-                    savings = {s: 0.0 for s in savings}
-        if policy == "regret" and savings:
-            best = max(savings, key=lambda s: (savings[s], s))
-            if best != current and savings[best] > alpha:
-                current = best
-                n_moves += 1
-                switcher.decide(t, current)
-                savings = {s: 0.0 for s in savings}
-
-    return OreoResult(
-        method=f"{policy}:{layout_kind}",
-        query_costs=paid,
-        reorg_cost=n_moves * alpha,
-        n_moves=n_moves,
-        layout_per_query=served_on,
-        n_candidates=len(cols) - 1,
-    )
+    return init, gen, stream, {init.name: init.cost_vector(stream)}
 
 
 def run_greedy(pdf, spec, workload, *, alpha: float = 80.0, k: int,
                layout_kind: str = "qdtree", window: int = 200,
-               regen_every: int = 100, delta: int = 0, seed: int = 0) -> OreoResult:
+               regen_every: int = 100, seed: int = 0) -> OreoResult:
     """Greedy baseline: always chase the better window layout (§VI-A3)."""
-    return _run_candidate_policy(
-        pdf, spec, workload, policy="greedy", alpha=alpha, k=k,
-        layout_kind=layout_kind, window=window, regen_every=regen_every,
-        delta=delta, seed=seed,
+    init, gen, stream, cols = _candidate_stream(
+        pdf, spec, workload, k, layout_kind, window, regen_every, seed
+    )
+    current, n_moves, after = init.name, 0, []
+    for t, q in enumerate(workload.queries):
+        for cand in gen.step(q):
+            cols[cand.name] = cand.cost_vector(stream)
+            win = slice(t + 1 - len(gen.window), t + 1)
+            if cols[cand.name][win].mean() < cols[current][win].mean():
+                current = cand.name
+                n_moves += 1
+        after.append(current)
+    return settle(
+        f"greedy:{layout_kind}", cols, init.name, after, 0, n_moves * alpha, n_moves,
+        n_candidates=len(cols) - 1,
     )
 
 
 def run_regret(pdf, spec, workload, *, alpha: float = 80.0, k: int,
                layout_kind: str = "qdtree", window: int = 200,
-               regen_every: int = 100, delta: int = 0, seed: int = 0) -> OreoResult:
+               regen_every: int = 100, seed: int = 0) -> OreoResult:
     """Regret baseline: switch when retroactive savings exceed α (§VI-A3)."""
-    return _run_candidate_policy(
-        pdf, spec, workload, policy="regret", alpha=alpha, k=k,
-        layout_kind=layout_kind, window=window, regen_every=regen_every,
-        delta=delta, seed=seed,
+    init, gen, stream, cols = _candidate_stream(
+        pdf, spec, workload, k, layout_kind, window, regen_every, seed
+    )
+    current, n_moves, after = init.name, 0, []
+    # Cumulative saving of each alternative vs current, reset on every switch.
+    savings: dict[str, float] = {}
+    for t, q in enumerate(workload.queries):
+        cur_cost = cols[current][t]
+        for alt in savings:
+            savings[alt] += cur_cost - cols[alt][t]
+        for cand in gen.step(q):
+            cols[cand.name] = cand.cost_vector(stream)
+            savings[cand.name] = 0.0
+            while len(savings) > REGRET_MAX_ALTS:
+                savings.pop(next(iter(savings)))
+        if savings:
+            best = max(savings, key=lambda s: (savings[s], s))
+            if best != current and savings[best] > alpha:
+                current = best
+                n_moves += 1
+                savings = dict.fromkeys(savings, 0.0)
+        after.append(current)
+    return settle(
+        f"regret:{layout_kind}", cols, init.name, after, 0, n_moves * alpha, n_moves,
+        n_candidates=len(cols) - 1,
     )
 
 
@@ -199,9 +143,10 @@ def per_template_layouts(
     by_tid: dict[int, list[Query]] = {}
     for q in workload.queries:
         by_tid.setdefault(q.template_id, []).append(q)
+    sample = data_sample(pdf, seed)
     return {
-        tid: build_workload_layout(
-            pdf, spec, qs, k, layout_kind=layout_kind,
+        tid: build_layout(
+            pdf, spec, sample, qs, k, layout_kind=layout_kind,
             name=f"tmpl{tid}:{layout_kind}", seed=seed,
         )
         for tid, qs in sorted(by_tid.items())
@@ -227,21 +172,11 @@ def run_mts_optimal(
     stream = compile_queries(workload.queries)
     cols = {m.name: m.cost_vector(stream) for m in layouts.values()}
     reorg = Reorganizer(sorted(cols), alpha=alpha, gamma=gamma, seed=seed)
-    paid = np.zeros(len(workload))
-    served_on: list[str] = []
-    for t in range(len(workload)):
-        served = reorg.current
-        paid[t] = cols[served][t]
-        served_on.append(served)
-        reorg.observe({s: cols[s][t] for s in reorg.states})
-    return OreoResult(
-        method=f"mts_optimal:{layout_kind}",
-        query_costs=paid,
-        reorg_cost=reorg.total_move,
-        n_moves=reorg.n_moves,
-        layout_per_query=served_on,
-        n_phases=reorg.n_phases,
-        n_states_max=len(cols),
+    initial = reorg.current
+    after = [reorg.observe({s: cols[s][t] for s in reorg.states}) for t in range(len(workload))]
+    return settle(
+        f"mts_optimal:{layout_kind}", cols, initial, after, 0, reorg.total_move, reorg.n_moves,
+        n_phases=reorg.n_phases, n_states_max=len(cols),
     )
 
 

@@ -22,12 +22,16 @@ The manager compiles its query stream once and costs each layout against
 the whole stream when the layout is generated (``columns``); the reservoir
 holds stream positions, so a cost vector on the sample is an index into a
 column.
+
+Every workload-aware layout in the package is built by :func:`build_layout`
+(a Qd-tree or Z-order layout fitted on a :func:`data_sample`, then
+:func:`materialize`-d on the full dataset).
 """
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -39,6 +43,42 @@ from repro.layouts.zorder import build_zorder
 from repro.workload.datasets import DatasetSpec
 from repro.workload.queries import Query, compile_queries
 
+# Rows of the data sample layouts are built on (paper: 0.1%–1% of the data).
+BUILD_SAMPLE_ROWS = 4_000
+# Time bias of the layout manager's R-TBS evaluation sample.
+EVAL_RTBS_LAM = 0.01
+
+
+def data_sample(pdf: pd.DataFrame, seed: int) -> pd.DataFrame:
+    """The data sample layouts are built on."""
+    n = min(len(pdf), BUILD_SAMPLE_ROWS)
+    return pdf.sample(n=n, random_state=seed).reset_index(drop=True)
+
+
+def materialize(pdf: pd.DataFrame, spec: DatasetSpec, layout) -> MaterializedLayout:
+    """Partition metadata of ``layout`` (anything with ``assign``) on ``pdf``."""
+    return build_materialized(
+        pdf, layout.assign(pdf), name=layout.name,
+        categorical_cols=spec.categorical_cols, layout=layout,
+    )
+
+
+def build_layout(
+    pdf: pd.DataFrame, spec: DatasetSpec, sample: pd.DataFrame, queries: Sequence[Query],
+    k: int, *, layout_kind: str, name: str, seed: int,
+) -> MaterializedLayout:
+    """Build a ``layout_kind`` layout for ``queries`` on ``sample`` and
+    materialize it on ``pdf``."""
+    if layout_kind == "qdtree":
+        lay = build_qdtree(
+            sample, queries, k, categorical_cols=spec.categorical_cols, name=name, seed=seed
+        )
+    elif layout_kind == "zorder":
+        lay = build_zorder(sample, queries, k, categorical_cols=spec.categorical_cols, name=name)
+    else:
+        raise ValueError(f"unknown layout kind {layout_kind!r}")
+    return materialize(pdf, spec, lay)
+
 
 @dataclass(frozen=True)
 class StateEvent:
@@ -46,7 +86,6 @@ class StateEvent:
 
     kind: str  # "add" | "remove"
     name: str
-    layout: MaterializedLayout | None = None
 
 
 class CandidateGenerator:
@@ -62,7 +101,6 @@ class CandidateGenerator:
         strategy: str = "sw",
         window: int = 200,
         regen_every: int = 100,
-        build_sample_rows: int = 4_000,
         seed: int = 0,
     ) -> None:
         if layout_kind not in ("qdtree", "zorder"):
@@ -80,35 +118,13 @@ class CandidateGenerator:
         self._gen_reservoir = TimeBiasedReservoir(size=window, lam=0.0, seed=seed + 1)
         self.t = 0
         self._seed = seed
-        # Data sample for layout construction (paper: 0.1%–1% of the data).
-        n = min(len(pdf), build_sample_rows)
-        self.sample = pdf.sample(n=n, random_state=seed).reset_index(drop=True)
+        self.sample = data_sample(pdf, seed)
 
     def _build(self, queries: list[Query], tag: str) -> MaterializedLayout:
-        name = f"{self.layout_kind}:{tag}@{self.t}"
-        if self.layout_kind == "qdtree":
-            lay = build_qdtree(
-                self.sample,
-                queries,
-                self.k,
-                categorical_cols=self.spec.categorical_cols,
-                name=name,
-                seed=self._seed,
-            )
-        else:
-            lay = build_zorder(
-                self.sample,
-                queries,
-                self.k,
-                categorical_cols=self.spec.categorical_cols,
-                name=name,
-            )
-        return build_materialized(
-            self.pdf,
-            lay.assign(self.pdf),
-            name=name,
-            categorical_cols=self.spec.categorical_cols,
-            layout=lay,
+        return build_layout(
+            self.pdf, self.spec, self.sample, queries, self.k,
+            layout_kind=self.layout_kind, name=f"{self.layout_kind}:{tag}@{self.t}",
+            seed=self._seed,
         )
 
     def step(self, q: Query) -> list[MaterializedLayout]:
@@ -138,7 +154,6 @@ class LayoutManager:
         *,
         epsilon: float = 0.08,
         eval_sample_size: int = 50,
-        rtbs_lam: float = 0.01,
         max_states: int = 10,
         seed: int = 0,
     ) -> None:
@@ -150,15 +165,13 @@ class LayoutManager:
         self.stream = compile_queries(queries)
         # Stream positions of a time-biased sample of the queries seen.
         self.eval_reservoir: TimeBiasedReservoir[int] = TimeBiasedReservoir(
-            size=eval_sample_size, lam=rtbs_lam, seed=seed + 2
+            size=eval_sample_size, lam=EVAL_RTBS_LAM, seed=seed + 2
         )
-        # catalog: every layout ever admitted (metadata is tiny; kept so the
-        # driver can keep serving on a layout during the background-reorg
-        # delay even after it left the state space), and its cost column
-        # over the whole stream.
-        self.catalog: dict[str, MaterializedLayout] = {initial.name: initial}
+        # The cost column over the whole stream of every layout ever admitted
+        # (kept so the driver can keep serving on a layout during the
+        # background-reorg delay even after it left the state space).
         self.columns: dict[str, np.ndarray] = {initial.name: initial.cost_vector(self.stream)}
-        # The current dynamic state space (subset of catalog keys).
+        # The current dynamic state space (subset of ``columns`` keys).
         self.space: list[str] = [initial.name]
         self.n_generated = 0
         self.n_admitted = 0
@@ -183,10 +196,9 @@ class LayoutManager:
             ]
             if min(dists, default=1.0) >= self.epsilon:
                 self.n_admitted += 1
-                self.catalog[cand.name] = cand
                 self.columns[cand.name] = col
                 self.space.append(cand.name)
-                events.append(StateEvent("add", cand.name, cand))
+                events.append(StateEvent("add", cand.name))
                 events.extend(self._prune(current_state, sample))
         return events
 

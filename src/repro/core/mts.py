@@ -72,8 +72,7 @@ class Reorganizer:
         self.states: set[str] = set(states)
         self.active: set[str] = set(states)
         self.counters: dict[str, float] = {s: 0.0 for s in states}
-        # Exact per-phase service cost and length, for the γ predictor.
-        self._phase_cost: dict[str, float] = {s: 0.0 for s in states}
+        # Phase length, for the γ predictor's skip fractions.
         self._phase_len: int = 0
         self._last_phase_skip: dict[str, float] = {}
 
@@ -83,7 +82,6 @@ class Reorganizer:
         self.moves: list[Move] = []
         self.total_service: float = 0.0
         self.total_move: float = 0.0
-        self.history: list[str] = [self.current]  # state before each query
 
     # -- state management queries (the "dynamic" in D-UMTS) -----------------
 
@@ -104,7 +102,6 @@ class Reorganizer:
         if counter is not None:
             c = float(counter)
             self.counters[s] = c
-            self._phase_cost[s] = c
             if c < self.alpha:
                 self.active.add(s)
 
@@ -154,17 +151,15 @@ class Reorganizer:
             if not (0.0 <= cs <= 1.0):
                 raise ValueError(f"service cost must be in [0,1], got {cs}")
             self.counters[s] += float(cs)
-            self._phase_cost[s] = self._phase_cost.get(s, 0.0) + float(cs)
         self._phase_len += 1
         self.active = {s for s in self.active if self.counters[s] < self.alpha}
 
         if served not in self.active:
             if not self.active:
                 self._reset_phase()
-                if self.stay_on_reset:
-                    # Keep the current layout: no movement cost (§IV-A).
-                    pass
-                else:
+                # With stay-on-reset, keep the current layout: no movement
+                # cost (§IV-A).
+                if not self.stay_on_reset:
                     dst = self._draw_next()
                     if dst != served:
                         self.moves.append(Move(self.t, served, dst))
@@ -177,7 +172,6 @@ class Reorganizer:
                 self.current = dst
 
         self.t += 1
-        self.history.append(self.current)
         return self.current
 
     # -- totals -------------------------------------------------------------
@@ -195,14 +189,15 @@ class Reorganizer:
     def _reset_phase(self) -> None:
         """End the phase: record performance, reset counters, rebuild S_A."""
         if self._phase_len > 0:
+            # A counter is the state's exact phase cost: it stops only when
+            # the state fills, and a deferred addition has none.
             self._last_phase_skip = {
-                s: 1.0 - self._phase_cost.get(s, 0.0) / self._phase_len
+                s: 1.0 - self.counters[s] / self._phase_len
                 for s in self.states
-                if s in self._phase_cost
+                if s in self.counters
             }
         self.counters = {s: 0.0 for s in self.states}
         self.active = set(self.states)
-        self._phase_cost = {s: 0.0 for s in self.states}
         self._phase_len = 0
         self.n_phases += 1
 
@@ -210,8 +205,7 @@ class Reorganizer:
         """Transition weights w_s^γ from last-phase skip fractions (§IV-C)."""
         if self.gamma == 0.0 or not self._last_phase_skip:
             return np.ones(len(candidates))
-        known = [v for v in self._last_phase_skip.values() if v is not None]
-        med = float(np.median(known)) if known else 1.0
+        med = float(np.median(list(self._last_phase_skip.values())))
         w = np.array(
             [max(1e-6, self._last_phase_skip.get(s, med)) for s in candidates]
         )

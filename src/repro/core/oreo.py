@@ -13,6 +13,11 @@ Ties the LAYOUT MANAGER and the REORGANIZER together over a query stream:
    queries in between are still served on the outgoing layout, while the
    reorganization cost is charged at decision time (§VI-D5).
 
+Every online method (OREO, the Greedy and Regret baselines, MTS-Optimal)
+records only ``after[t]``, the state it holds after query ``t``, and returns
+through :func:`settle`, which applies Δ as a shift and charges each query the
+cost of the layout it was served on.
+
 Costs follow the paper's logical model: service cost = fraction of data
 accessed (∈[0,1]), movement cost = α full-scan equivalents.
 
@@ -25,16 +30,15 @@ entries up to ``t``, exactly the costs the per-query calls computed.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 
-from repro.core.layout_manager import CandidateGenerator, LayoutManager
+from repro.core.layout_manager import CandidateGenerator, LayoutManager, materialize
 from repro.core.mts import Reorganizer
 from repro.layouts.fixed import build_fixed
-from repro.layouts.metadata import MaterializedLayout, build_materialized
+from repro.layouts.metadata import MaterializedLayout
 from repro.workload.datasets import DatasetSpec
 from repro.workload.generator import Workload
 
@@ -64,32 +68,27 @@ class OreoResult:
 
 def default_layout(pdf: pd.DataFrame, spec: DatasetSpec, k: int) -> MaterializedLayout:
     """The workload-oblivious starting layout: range-partition by time/key."""
-    lay = build_fixed(pdf, spec.default_sort_col, k)
-    return build_materialized(
-        pdf,
-        lay.assign(pdf),
-        name=lay.name,
-        categorical_cols=spec.categorical_cols,
-        layout=lay,
+    return materialize(pdf, spec, build_fixed(pdf, spec.default_sort_col, k))
+
+
+def settle(
+    method: str, cols: dict[str, np.ndarray], initial: str, after: list[str],
+    delta: int, reorg_cost: float, n_moves: int, **stats,
+) -> OreoResult:
+    """Cost a policy's trajectory under the background-reorganization delay Δ.
+
+    ``after[t]`` is the state the policy holds after query ``t``. A switch
+    decided at ``t`` first serves query ``t+1+Δ``, so query ``t`` is served
+    on ``after[t-1-Δ]``, or on ``initial`` before that; its cost is
+    ``cols[served][t]``. ``stats`` are further :class:`OreoResult` fields.
+    """
+    n = len(after)
+    served = [initial] * min(n, delta + 1) + after[: max(0, n - 1 - delta)]
+    paid = np.array([cols[s][t] for t, s in enumerate(served)], dtype=float)
+    return OreoResult(
+        method=method, query_costs=paid, reorg_cost=reorg_cost, n_moves=n_moves,
+        layout_per_query=served, **stats,
     )
-
-
-class DelayedSwitcher:
-    """Tracks which layout queries are *actually* served on under delay Δ."""
-
-    def __init__(self, initial: str, delta: int) -> None:
-        self.effective = initial
-        self.delta = int(delta)
-        self._pending: deque[tuple[int, str]] = deque()  # (t_effective, state)
-
-    def decide(self, t: int, new_state: str) -> None:
-        """A switch decided while processing query t first serves t+1+delta."""
-        self._pending.append((t + 1 + self.delta, new_state))
-
-    def at(self, t: int) -> str:
-        while self._pending and self._pending[0][0] <= t:
-            self.effective = self._pending.popleft()[1]
-        return self.effective
 
 
 def run_oreo(
@@ -127,6 +126,8 @@ def run_oreo(
     """
     if admit_mode not in ("replay", "median", "defer"):
         raise ValueError(f"unknown admit_mode {admit_mode!r}")
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     if k is None:
         k = max(8, min(64, len(pdf) // 1_000))
     init = default_layout(pdf, spec, k)
@@ -153,19 +154,12 @@ def run_oreo(
     reorg = Reorganizer(
         [init.name], alpha=alpha, gamma=gamma, stay_on_reset=True, seed=seed
     )
-    switcher = DelayedSwitcher(reorg.current, delta)
 
-    paid = np.zeros(len(workload))
-    served_on: list[str] = []
+    after: list[str] = []
     n_states_max = 1
     phase_start = 0  # first query of the current phase, for replay init
     last_phase = reorg.n_phases
     for t in range(len(workload)):
-        # The layout actually serving this query (honours the Δ delay).
-        eff = switcher.at(t)
-        paid[t] = cols[eff][t]
-        served_on.append(eff)
-
         for ev in manager.step(t, reorg.current):
             if ev.kind == "add":
                 if admit_mode == "replay":
@@ -176,28 +170,16 @@ def run_oreo(
                     counter = None
                 reorg.add_state(ev.name, counter=counter)
             else:
-                before = reorg.current
                 reorg.remove_state(ev.name)
-                if reorg.current != before:
-                    switcher.decide(t, reorg.current)
         n_states_max = max(n_states_max, len(reorg.states))
 
-        before = reorg.current
-        after = reorg.observe({s: cols[s][t] for s in reorg.states})
-        if after != before:
-            switcher.decide(t, after)
+        after.append(reorg.observe({s: cols[s][t] for s in reorg.states}))
         if reorg.n_phases != last_phase:
             last_phase = reorg.n_phases
             phase_start = t + 1
 
-    return OreoResult(
-        method="oreo",
-        query_costs=paid,
-        reorg_cost=reorg.total_move,
-        n_moves=reorg.n_moves,
-        layout_per_query=served_on,
-        n_phases=reorg.n_phases,
-        n_states_max=n_states_max,
-        n_candidates=manager.n_generated,
-        n_admitted=manager.n_admitted,
+    return settle(
+        "oreo", cols, init.name, after, delta, reorg.total_move, reorg.n_moves,
+        n_phases=reorg.n_phases, n_states_max=n_states_max,
+        n_candidates=manager.n_generated, n_admitted=manager.n_admitted,
     )

@@ -15,12 +15,12 @@ import tempfile
 
 from pyspark.sql import SparkSession
 
+from repro.core.layout_manager import build_layout, data_sample
 from repro.experiments.common import markdown_table
 from repro.layouts.fixed import build_fixed
 from repro.sparkio.runner import full_scan, read_layout_table, reorganize, write_layout
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
-from repro.layouts.qdtree import build_qdtree
 
 MB = 1 << 20
 DEFAULT_SIZES_MB = tuple(
@@ -77,11 +77,10 @@ def run(sizes_mb=DEFAULT_SIZES_MB, workdir: str | None = None, spark: SparkSessi
         scans = [full_scan(tbl, agg_col="l_extendedprice") for _ in range(N_SCAN_REPS)]
         # Reorganize into a workload-aware Qd-tree layout (a representative
         # reorganization: full read, BID rewrite, shuffle, compressed write).
-        sample = pdf.sample(n=min(len(pdf), 4_000), random_state=0)
-        dst_lay = build_qdtree(
-            sample, wl.queries, k,
-            categorical_cols=ds.TPCH_LITE.categorical_cols, name="qd",
-        )
+        dst_lay = build_layout(
+            pdf, ds.TPCH_LITE, data_sample(pdf, 0), wl.queries, k,
+            layout_kind="qdtree", name="qd", seed=0,
+        ).layout
         reorgs = [
             reorganize(spark, src, dst_lay, os.path.join(workdir, f"dst_{size_mb}_{i}"))
             for i in range(2)

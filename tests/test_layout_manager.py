@@ -103,7 +103,7 @@ class TestLayoutManager:
         evs = []
         for t in range(200):
             evs.extend(man.step(t, init.name))
-        assert evs and all(e.kind == "add" and e.layout is not None for e in evs)
+        assert evs and all(e.kind == "add" and e.name in man.columns for e in evs)
 
     def test_max_states_prunes_but_spares_current(self, pdf, workload):
         man, init = self._manager(pdf, workload, epsilon=0.0, max_states=3)
@@ -120,8 +120,8 @@ class TestLayoutManager:
         man, init = self._manager(pdf, workload, epsilon=0.0, max_states=2)
         for t in range(400):
             man.step(t, init.name)
-        # Catalog only grows; the space is bounded.
-        assert len(man.catalog) == man.n_admitted + 1
+        # The cost columns only grow; the space is bounded.
+        assert len(man.columns) == man.n_admitted + 1
         assert len(man.space) <= 2
 
     def test_higher_epsilon_admits_fewer(self, pdf, workload):

@@ -25,7 +25,7 @@ class TestConstruction:
     def test_initial_state_is_member(self):
         r = Reorganizer(["a", "b", "c"], alpha=10, seed=3)
         assert r.current in {"a", "b", "c"}
-        assert r.history == [r.current]
+        assert r.moves == []
 
     def test_deterministic_in_seed(self):
         costs = [{s: 0.3 + 0.1 * (s == "b") for s in "abc"} for _ in range(200)]
@@ -34,7 +34,7 @@ class TestConstruction:
             r = Reorganizer(list("abc"), alpha=5, seed=9)
             for c in costs:
                 r.observe(c)
-            runs.append((r.history, r.total_cost))
+            runs.append(([(m.t, m.src, m.dst) for m in r.moves], r.current, r.total_cost))
         assert runs[0] == runs[1]
 
 
@@ -238,6 +238,17 @@ class TestCompetitiveRatio:
 
 
 class TestPredictor:
+    @pytest.mark.parametrize("seed", [0, 1])  # start on b, on a
+    def test_phase_end_records_skip_fractions(self, seed):
+        """A 4-query phase: a fills at 2.0 after two queries and stops
+        accumulating; b fills at 2.4 after four and ends the phase."""
+        r = Reorganizer(["a", "b"], alpha=2, seed=seed)
+        for _ in range(4):
+            assert r.n_phases == 1
+            r.observe({"a": 1.0, "b": 0.6})
+        assert r.n_phases == 2
+        assert r._last_phase_skip == pytest.approx({"a": 0.5, "b": 0.4})
+
     def test_gamma_zero_uniform_weights(self):
         r = Reorganizer(list("abc"), alpha=2, gamma=0.0, seed=0)
         r._last_phase_skip = {"a": 0.9, "b": 0.1, "c": 0.1}

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.oreo import DelayedSwitcher, OreoResult, default_layout, run_oreo
+from repro.core.oreo import OreoResult, default_layout, run_oreo, settle
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
 
@@ -23,23 +23,28 @@ def result(pdf, workload):
 
 
 class TestDelayedSwitcher:
+    """Δ-delayed switching, as :func:`settle` applies it to a trajectory."""
+
+    COLS = {s: np.arange(10, dtype=float) + i for i, s in enumerate("abc")}
+
+    def served(self, after, delta):
+        r = settle("m", self.COLS, "a", after, delta, 0.0, 0)
+        assert r.query_costs.tolist() == [self.COLS[s][t] for t, s in enumerate(r.layout_per_query)]
+        return r.layout_per_query
+
     def test_no_delay_switch_next_query(self):
-        sw = DelayedSwitcher("a", delta=0)
-        assert sw.at(0) == "a"
-        sw.decide(0, "b")
-        assert sw.at(1) == "b"
+        # Switch to b decided while processing query 0.
+        assert self.served(["b", "b", "b"], delta=0) == ["a", "b", "b"]
 
     def test_delay_serves_old_layout(self):
-        sw = DelayedSwitcher("a", delta=3)
-        sw.decide(0, "b")
-        assert [sw.at(t) for t in range(1, 6)] == ["a", "a", "a", "b", "b"]
+        assert self.served(["b"] * 6, delta=3) == ["a", "a", "a", "a", "b", "b"]
 
     def test_chained_decisions_apply_in_order(self):
-        sw = DelayedSwitcher("a", delta=1)
-        sw.decide(0, "b")
-        sw.decide(5, "c")
-        assert sw.at(2) == "b"
-        assert sw.at(7) == "c"
+        after = ["b"] * 5 + ["c"] * 5  # b decided at query 0, c at query 5
+        served = self.served(after, delta=1)
+        assert served[2] == "b"
+        assert served[7] == "c"
+        assert served == ["a", "a"] + ["b"] * 5 + ["c"] * 3
 
 
 class TestDefaultLayout:
@@ -98,6 +103,10 @@ class TestRunOreo:
     def test_bad_admit_mode_rejected(self, pdf, workload):
         with pytest.raises(ValueError):
             run_oreo(pdf, ds.TPCH_LITE, workload, admit_mode="nope")
+
+    def test_negative_delta_rejected(self, pdf, workload):
+        with pytest.raises(ValueError):
+            run_oreo(pdf, ds.TPCH_LITE, workload, delta=-1)
 
     def test_higher_alpha_fewer_moves(self, pdf, workload):
         lo = run_oreo(pdf, ds.TPCH_LITE, workload, k=16, alpha=10, seed=2)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.core.oreo import default_layout
 from repro.layouts.fixed import build_fixed
 from repro.layouts.metadata import build_materialized
@@ -57,15 +56,6 @@ def table_path(tmp_path_factory, sdf, qd_layout):
     path = str(tmp_path_factory.mktemp("tbl") / "tpch_lite")
     write_layout(sdf, qd_layout, path)
     return path
-
-
-class TestSynthDataWrappers:
-    @pytest.mark.parametrize("fn", ["tpch_lite", "tpcds_lite", "telemetry"])
-    def test_spark_frames_match_pandas(self, spark, fn):
-        sdf = getattr(synth_data, fn)(spark, sf=0.002)
-        pdf = ds.build_pdf(fn, sf=0.002)
-        assert sdf.count() == len(pdf)
-        assert set(sdf.columns) == set(pdf.columns)
 
 
 class TestWithBid:
