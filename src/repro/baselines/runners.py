@@ -1,7 +1,7 @@
 """Baseline reorganization strategies (paper §VI-A3) and oracles (§VI-C).
 
 All online methods consume the *same* candidate layout stream as OREO
-(a :class:`~repro.core.layout_manager.CandidateGenerator` with identical
+(:func:`~repro.core.layout_manager.candidate_stream` with identical
 parameters), differing only in the switching policy:
 
 - **Static** — offline: builds one layout from the *entire* workload and
@@ -16,10 +16,13 @@ parameters), differing only in the switching policy:
 - **Offline Optimal** — knows the workload; switches to each segment's best
   layout exactly at the template boundary.
 
-Every driver compiles the query stream once and costs a layout against the
-whole stream when the layout enters its catalog; a per-query cost is then
-entry ``t`` of that cost column. The online drivers record the state held
-after each query and return through :func:`repro.core.oreo.settle`.
+Every driver costs a layout against the whole compiled stream when the
+layout enters its catalog; a per-query cost is then entry ``t`` of that cost
+column. Greedy and Regret read their candidates' columns from the candidate
+stream, whose one memoized entry they share with OREO: the first of them to
+run in a cell builds, materializes and costs each candidate, and the others
+reuse it. The online drivers record the state held after each query and
+return through :func:`repro.core.oreo.settle`.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.optimal import offline_optimal_schedule, schedule_cost
-from repro.core.layout_manager import CandidateGenerator, build_layout, data_sample
+from repro.core.layout_manager import build_layout, candidate_stream, data_sample
 from repro.core.mts import Reorganizer
 from repro.core.oreo import OreoResult, default_layout, settle
 from repro.layouts.metadata import MaterializedLayout
@@ -64,32 +67,24 @@ def run_static(
     )
 
 
-def _candidate_stream(pdf, spec, workload, k, layout_kind, window, regen_every, seed):
-    """The default layout, OREO's sliding-window candidate generator, the
-    compiled stream and the cost columns (the default layout's only)."""
-    init = default_layout(pdf, spec, k)
-    gen = CandidateGenerator(
-        pdf, spec, k=k, layout_kind=layout_kind, strategy="sw",
-        window=window, regen_every=regen_every, seed=seed,
-    )
-    stream = compile_queries(workload.queries)
-    return init, gen, stream, {init.name: init.cost_vector(stream)}
-
-
 def run_greedy(pdf, spec, workload, *, alpha: float = 80.0, k: int,
                layout_kind: str = "qdtree", window: int = 200,
                regen_every: int = 100, seed: int = 0) -> OreoResult:
     """Greedy baseline: always chase the better window layout (§VI-A3)."""
-    init, gen, stream, cols = _candidate_stream(
-        pdf, spec, workload, k, layout_kind, window, regen_every, seed
+    stream = compile_queries(workload.queries)
+    births = candidate_stream(
+        pdf, spec, stream, k=k, layout_kind=layout_kind,
+        window=window, regen_every=regen_every, seed=seed,
     )
+    init = default_layout(pdf, spec, k)
+    cols = {init.name: init.cost_vector(stream)}
     current, n_moves, after = init.name, 0, []
-    for t, q in enumerate(workload.queries):
-        for cand in gen.step(q):
-            cols[cand.name] = cand.cost_vector(stream)
-            win = slice(t + 1 - len(gen.window), t + 1)
-            if cols[cand.name][win].mean() < cols[current][win].mean():
-                current = cand.name
+    for t, born in enumerate(births):
+        win = slice(max(0, t + 1 - window), t + 1)
+        for name, col in born:
+            cols[name] = col
+            if col[win].mean() < cols[current][win].mean():
+                current = name
                 n_moves += 1
         after.append(current)
     return settle(
@@ -102,19 +97,23 @@ def run_regret(pdf, spec, workload, *, alpha: float = 80.0, k: int,
                layout_kind: str = "qdtree", window: int = 200,
                regen_every: int = 100, seed: int = 0) -> OreoResult:
     """Regret baseline: switch when retroactive savings exceed α (§VI-A3)."""
-    init, gen, stream, cols = _candidate_stream(
-        pdf, spec, workload, k, layout_kind, window, regen_every, seed
+    stream = compile_queries(workload.queries)
+    births = candidate_stream(
+        pdf, spec, stream, k=k, layout_kind=layout_kind,
+        window=window, regen_every=regen_every, seed=seed,
     )
+    init = default_layout(pdf, spec, k)
+    cols = {init.name: init.cost_vector(stream)}
     current, n_moves, after = init.name, 0, []
     # Cumulative saving of each alternative vs current, reset on every switch.
     savings: dict[str, float] = {}
-    for t, q in enumerate(workload.queries):
+    for t, born in enumerate(births):
         cur_cost = cols[current][t]
         for alt in savings:
             savings[alt] += cur_cost - cols[alt][t]
-        for cand in gen.step(q):
-            cols[cand.name] = cand.cost_vector(stream)
-            savings[cand.name] = 0.0
+        for name, col in born:
+            cols[name] = col
+            savings[name] = 0.0
             while len(savings) > REGRET_MAX_ALTS:
                 savings.pop(next(iter(savings)))
         if savings:

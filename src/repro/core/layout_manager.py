@@ -1,27 +1,32 @@
 """The LAYOUT MANAGER: on-the-fly layout generation + ε-admission (paper §V).
 
-Split in two pieces so the online baselines can share candidates with OREO
-exactly as in the paper ("the three online approaches utilize the same set
-of data layout candidates computed periodically based on a sliding window
-of recent queries", §VI-A3):
+The online methods "utilize the same set of data layout candidates computed
+periodically based on a sliding window of recent queries" (§VI-A3). Here
+that set is one computed value, the *candidate stream*:
 
-- :class:`CandidateGenerator` — every ``regen_every`` queries, builds a new
-  candidate layout (Qd-tree or Z-order) from the current query sample
-  (sliding window, reservoir, or both) on a small data sample, and
+- :class:`CandidateGenerator` — the engine: every ``regen_every`` queries,
+  builds a new candidate layout (Qd-tree or Z-order) from the current query
+  sample (sliding window, reservoir, or both) on a small data sample, and
   materializes its partition metadata on the full dataset (the stats a real
   reorganization would produce in Parquet footers).
-- :class:`LayoutManager` — Algorithm 5: feeds every query to the candidate
-  generator and to an R-TBS evaluation reservoir; a new candidate is
-  *admitted* to the dynamic state space only if the normalized L1 distance
-  between its query-cost vector and that of every existing state (both
-  evaluated on the R-TBS sample) is at least ε. When the state space
-  exceeds ``max_states``, the non-current state closest to the remainder of
-  the space is pruned (a state-removal query to the reorganizer).
+- :func:`candidate_stream` — runs a generator over a whole query stream and
+  lists, for each position ``t``, the candidates born there as ``(name,
+  cost column over the whole stream)``. The layouts themselves are dropped.
+  It holds one memoized entry, so the first online method of a cell (OREO,
+  Greedy or Regret with the same parameters) builds, materializes and costs
+  each candidate, and the others reuse it. An entry is reused only for the
+  same frame object and the same ``Query`` objects; frames are treated as
+  immutable, as :class:`MaterializedLayout` already assumes.
+- :class:`LayoutManager` — Algorithm 5: reads the candidate stream next to
+  an R-TBS evaluation reservoir; a new candidate is *admitted* to the
+  dynamic state space only if the normalized L1 distance between its
+  query-cost vector and that of every existing state (both evaluated on the
+  R-TBS sample) is at least ε. When the state space exceeds
+  ``max_states``, the non-current state closest to the remainder of the
+  space is pruned (a state-removal query to the reorganizer).
 
-The manager compiles its query stream once and costs each layout against
-the whole stream when the layout is generated (``columns``); the reservoir
-holds stream positions, so a cost vector on the sample is an index into a
-column.
+The reservoir holds stream positions, so a cost vector on the sample is an
+index into a column.
 
 Every workload-aware layout in the package is built by :func:`build_layout`
 (a Qd-tree or Z-order layout fitted on a :func:`data_sample`, then
@@ -29,9 +34,11 @@ Every workload-aware layout in the package is built by :func:`build_layout`
 """
 from __future__ import annotations
 
+import operator
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -41,7 +48,7 @@ from repro.layouts.metadata import MaterializedLayout, build_materialized
 from repro.layouts.qdtree import build_qdtree
 from repro.layouts.zorder import build_zorder
 from repro.workload.datasets import DatasetSpec
-from repro.workload.queries import Query, compile_queries
+from repro.workload.queries import CompiledQueries, Query, compile_queries
 
 # Rows of the data sample layouts are built on (paper: 0.1%–1% of the data).
 BUILD_SAMPLE_ROWS = 4_000
@@ -88,6 +95,18 @@ class StateEvent:
     name: str
 
 
+def _check_generator_args(layout_kind: str, strategy: str, window: int, regen_every: int) -> None:
+    """Reject :class:`CandidateGenerator` parameters it cannot run with."""
+    if layout_kind not in ("qdtree", "zorder"):
+        raise ValueError(f"unknown layout kind {layout_kind!r}")
+    if strategy not in ("sw", "rs", "sw+rs"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if regen_every < 1:
+        raise ValueError(f"regen_every must be >= 1, got {regen_every}")
+
+
 class CandidateGenerator:
     """Periodic workload-aware layout candidates from recent queries."""
 
@@ -103,10 +122,7 @@ class CandidateGenerator:
         regen_every: int = 100,
         seed: int = 0,
     ) -> None:
-        if layout_kind not in ("qdtree", "zorder"):
-            raise ValueError(f"unknown layout kind {layout_kind!r}")
-        if strategy not in ("sw", "rs", "sw+rs"):
-            raise ValueError(f"unknown strategy {strategy!r}")
+        _check_generator_args(layout_kind, strategy, window, regen_every)
         self.pdf = pdf
         self.spec = spec
         self.k = k
@@ -143,15 +159,80 @@ class CandidateGenerator:
         return out
 
 
+# The candidates born at each stream position: ``(name, cost column)`` pairs.
+Births = list[tuple[tuple[str, np.ndarray], ...]]
+
+
+class _Entry(NamedTuple):
+    """A memoized candidate stream. It keeps strong references to the frame
+    and the queries, so their ids cannot be recycled while it is held."""
+
+    key: tuple
+    pdf: pd.DataFrame
+    queries: tuple[Query, ...]
+    births: Births
+
+
+_held: _Entry | None = None
+
+
+def candidate_stream(
+    pdf: pd.DataFrame,
+    spec: DatasetSpec,
+    stream: CompiledQueries,
+    *,
+    k: int,
+    layout_kind: str = "qdtree",
+    strategy: str = "sw",
+    window: int = 200,
+    regen_every: int = 100,
+    seed: int = 0,
+) -> Births:
+    """The candidates a :class:`CandidateGenerator` with these parameters
+    produces over the compiled query ``stream``: entry ``t`` lists those
+    born at query ``t`` as ``(name, cost column over the whole stream)``.
+
+    The last result is memoized and reused when ``pdf`` is the same object,
+    ``stream`` holds the same ``Query`` objects and the parameters are
+    equal. The frame is treated as immutable: a changed frame must be a
+    new object.
+    """
+    global _held
+    _check_generator_args(layout_kind, strategy, window, regen_every)
+    key = (spec, k, layout_kind, strategy, window, regen_every, seed)
+    if (
+        _held is not None and _held.pdf is pdf and _held.key == key
+        and len(_held.queries) == len(stream)
+        and all(map(operator.is_, _held.queries, stream.queries))
+    ):
+        return _held.births
+    _held = None  # drop the old entry first: peak memory stays that of one
+    gen = CandidateGenerator(
+        pdf, spec, k=k, layout_kind=layout_kind, strategy=strategy,
+        window=window, regen_every=regen_every, seed=seed,
+    )
+    births = [
+        tuple((c.name, c.cost_vector(stream)) for c in gen.step(q)) for q in stream.queries
+    ]
+    _held = _Entry(key, pdf, stream.queries, births)
+    return births
+
+
 class LayoutManager:
     """Algorithm 5: admit diverse candidates into the dynamic state space."""
 
     def __init__(
         self,
-        generator: CandidateGenerator,
+        pdf: pd.DataFrame,
+        spec: DatasetSpec,
         initial: MaterializedLayout,
         queries: Sequence[Query],
         *,
+        k: int,
+        layout_kind: str = "qdtree",
+        strategy: str = "sw",
+        window: int = 200,
+        regen_every: int = 100,
         epsilon: float = 0.08,
         eval_sample_size: int = 50,
         max_states: int = 10,
@@ -159,10 +240,15 @@ class LayoutManager:
     ) -> None:
         if not (0.0 <= epsilon <= 1.0):
             raise ValueError("epsilon must be in [0, 1]")
-        self.gen = generator
+        if max_states < 1:
+            raise ValueError(f"max_states must be >= 1, got {max_states}")
         self.epsilon = epsilon
         self.max_states = max_states
-        self.stream = compile_queries(queries)
+        stream = compile_queries(queries)
+        self.births = candidate_stream(
+            pdf, spec, stream, k=k, layout_kind=layout_kind, strategy=strategy,
+            window=window, regen_every=regen_every, seed=seed,
+        )
         # Stream positions of a time-biased sample of the queries seen.
         self.eval_reservoir: TimeBiasedReservoir[int] = TimeBiasedReservoir(
             size=eval_sample_size, lam=EVAL_RTBS_LAM, seed=seed + 2
@@ -170,7 +256,7 @@ class LayoutManager:
         # The cost column over the whole stream of every layout ever admitted
         # (kept so the driver can keep serving on a layout during the
         # background-reorg delay even after it left the state space).
-        self.columns: dict[str, np.ndarray] = {initial.name: initial.cost_vector(self.stream)}
+        self.columns: dict[str, np.ndarray] = {initial.name: initial.cost_vector(stream)}
         # The current dynamic state space (subset of ``columns`` keys).
         self.space: list[str] = [initial.name]
         self.n_generated = 0
@@ -187,18 +273,17 @@ class LayoutManager:
         """Observe query ``t`` of the stream; emit add/remove state events."""
         self.eval_reservoir.add(t)
         events: list[StateEvent] = []
-        for cand in self.gen.step(self.stream.queries[t]):
+        for name, col in self.births[t]:
             self.n_generated += 1
             sample = np.asarray(self.eval_reservoir.sample(), dtype=np.intp)
-            col = cand.cost_vector(self.stream)
             dists = [
                 self.distance(col[sample], self.columns[s][sample]) for s in self.space
             ]
             if min(dists, default=1.0) >= self.epsilon:
                 self.n_admitted += 1
-                self.columns[cand.name] = col
-                self.space.append(cand.name)
-                events.append(StateEvent("add", cand.name))
+                self.columns[name] = col
+                self.space.append(name)
+                events.append(StateEvent("add", name))
                 events.extend(self._prune(current_state, sample))
         return events
 

@@ -21,12 +21,13 @@ cost of the layout it was served on.
 Costs follow the paper's logical model: service cost = fraction of data
 accessed (∈[0,1]), movement cost = α full-scan equivalents.
 
-Costing is batched: the layout manager compiles the stream once and costs
-each layout against every query of it when the layout is generated, so
-every per-query cost here is entry ``t`` of a layout's cost column. The
-columns include queries not yet seen, but that changes no decision: at
-query ``t`` the driver, the layout manager and the reorganizer read only
-entries up to ``t``, exactly the costs the per-query calls computed.
+Costing is batched: every candidate of the shared candidate stream
+(:func:`repro.core.layout_manager.candidate_stream`) comes with its cost
+column over the whole stream, so every per-query cost here is entry ``t``
+of a layout's cost column. The columns include queries not yet seen, but
+that changes no decision: at query ``t`` the driver, the layout manager and
+the reorganizer read only entries up to ``t``, exactly the costs the
+per-query calls computed.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.core.layout_manager import CandidateGenerator, LayoutManager, materialize
+from repro.core.layout_manager import LayoutManager, materialize
 from repro.core.mts import Reorganizer
 from repro.layouts.fixed import build_fixed
 from repro.layouts.metadata import MaterializedLayout
@@ -131,20 +132,16 @@ def run_oreo(
     if k is None:
         k = max(8, min(64, len(pdf) // 1_000))
     init = default_layout(pdf, spec, k)
-    gen = CandidateGenerator(
+    manager = LayoutManager(
         pdf,
         spec,
+        init,
+        workload.queries,
         k=k,
         layout_kind=layout_kind,
         strategy=strategy,
         window=window,
         regen_every=regen_every,
-        seed=seed,
-    )
-    manager = LayoutManager(
-        gen,
-        init,
-        workload.queries,
         epsilon=epsilon,
         eval_sample_size=eval_sample_size,
         max_states=max_states,

@@ -53,7 +53,23 @@ def mean_over_seeds(fn, seeds=None) -> dict:
     ``seeds`` defaults to the module-level ``MTS_SEEDS`` at call time so
     tests can shrink the seed set by monkeypatching.
     """
-    rs: list[OreoResult] = [fn(s) for s in (MTS_SEEDS if seeds is None else seeds)]
+    return _mean([fn(s) for s in (MTS_SEEDS if seeds is None else seeds)])
+
+
+def mean_over_seeds_each(fn, values) -> dict:
+    """``{v: mean_over_seeds(lambda seed: fn(v, seed))}`` for every ``v`` in
+    ``values``, with the seed loop outermost.
+
+    Runs with one seed and different ``values`` are then adjacent, so those
+    that share a candidate stream reuse its one memoized entry. Each average
+    is still taken in seed order, so the results are those of
+    :func:`mean_over_seeds`.
+    """
+    runs = {(v, s): fn(v, s) for s in MTS_SEEDS for v in values}
+    return {v: _mean([runs[v, s] for s in MTS_SEEDS]) for v in values}
+
+
+def _mean(rs: list[OreoResult]) -> dict:
     return {
         "query_cost": float(np.mean([r.query_cost for r in rs])),
         "reorg_cost": float(np.mean([r.reorg_cost for r in rs])),

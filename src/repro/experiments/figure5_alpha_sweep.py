@@ -12,7 +12,7 @@ from repro.experiments.common import (
     N_QUERIES_SWEEP,
     make_setup,
     markdown_table,
-    mean_over_seeds,
+    mean_over_seeds_each,
 )
 
 ALPHAS = (10, 20, 40, 80, 120, 170, 230, 300)
@@ -21,15 +21,13 @@ DATASET = "tpch_lite"
 
 def run(alphas=ALPHAS, n_queries: int = N_QUERIES_SWEEP) -> list[dict]:
     su = make_setup(DATASET, n_queries=n_queries)
-    rows = []
-    for a in alphas:
-        res = mean_over_seeds(
-            lambda seed: run_oreo(
-                su.pdf, su.spec, su.workload, alpha=float(a), k=K_PARTITIONS, seed=seed
-            )
-        )
-        rows.append({"alpha": a, **res})
-    return rows
+    res = mean_over_seeds_each(
+        lambda a, seed: run_oreo(
+            su.pdf, su.spec, su.workload, alpha=float(a), k=K_PARTITIONS, seed=seed
+        ),
+        alphas,
+    )
+    return [{"alpha": a, **res[a]} for a in alphas]
 
 
 def format_table(rows: list[dict]) -> str:

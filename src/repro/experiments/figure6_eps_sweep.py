@@ -12,7 +12,7 @@ from repro.experiments.common import (
     N_QUERIES_SWEEP,
     make_setup,
     markdown_table,
-    mean_over_seeds,
+    mean_over_seeds_each,
 )
 
 EPSILONS = (0.0, 0.02, 0.04, 0.08, 0.16, 0.32)
@@ -21,16 +21,14 @@ DATASET = "tpch_lite"
 
 def run(epsilons=EPSILONS, n_queries: int = N_QUERIES_SWEEP) -> list[dict]:
     su = make_setup(DATASET, n_queries=n_queries)
-    rows = []
-    for eps in epsilons:
-        res = mean_over_seeds(
-            lambda seed: run_oreo(
-                su.pdf, su.spec, su.workload,
-                alpha=ALPHA, epsilon=float(eps), k=K_PARTITIONS, seed=seed,
-            )
-        )
-        rows.append({"epsilon": eps, **res})
-    return rows
+    res = mean_over_seeds_each(
+        lambda eps, seed: run_oreo(
+            su.pdf, su.spec, su.workload,
+            alpha=ALPHA, epsilon=float(eps), k=K_PARTITIONS, seed=seed,
+        ),
+        epsilons,
+    )
+    return [{"epsilon": eps, **res[eps]} for eps in epsilons]
 
 
 def format_table(rows: list[dict]) -> str:

@@ -18,7 +18,7 @@ from repro.experiments.common import (
     N_QUERIES_SWEEP,
     make_setup,
     markdown_table,
-    mean_over_seeds,
+    mean_over_seeds_each,
 )
 
 # (row label, run_oreo keyword overrides)
@@ -37,23 +37,20 @@ VARIANTS: list[tuple[str, dict]] = [
 def run(n_queries: int = N_QUERIES_SWEEP) -> dict[str, dict[str, dict]]:
     """Return {variant -> {dataset -> averaged costs}}."""
     setups = {d: make_setup(d, n_queries=n_queries) for d in DATASETS}
-    out: dict[str, dict[str, dict]] = {}
-    for label, overrides in VARIANTS:
-        per_ds = {}
-        for d, su in setups.items():
-            per_ds[d] = mean_over_seeds(
-                lambda seed: run_oreo(
-                    su.pdf,
-                    su.spec,
-                    su.workload,
-                    alpha=ALPHA,
-                    k=K_PARTITIONS,
-                    seed=seed,
-                    **overrides,
-                )
-            )
-        out[label] = per_ds
-    return out
+    overrides = dict(VARIANTS)
+    # Variants with one candidate-generation strategy share a candidate stream.
+    by_stream = sorted(overrides, key=lambda v: overrides[v].get("strategy", "sw"))
+    per_ds = {
+        d: mean_over_seeds_each(
+            lambda label, seed: run_oreo(
+                su.pdf, su.spec, su.workload, alpha=ALPHA, k=K_PARTITIONS, seed=seed,
+                **overrides[label],
+            ),
+            by_stream,
+        )
+        for d, su in setups.items()
+    }
+    return {label: {d: per_ds[d][label] for d in setups} for label, _ in VARIANTS}
 
 
 def format_table(results: dict[str, dict[str, dict]]) -> str:

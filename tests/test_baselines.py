@@ -1,4 +1,6 @@
 """Tests for Static/Greedy/Regret and the offline oracles (§VI-A3, §VI-C)."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,11 @@ from repro.baselines.runners import (
     run_regret,
     run_static,
 )
+from repro.core import layout_manager
 from repro.core.oreo import run_oreo
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
+from tests.test_goldens import GOLDENS, SETUPS, outputs
 
 ALPHA = 20.0
 
@@ -172,3 +176,21 @@ class TestZorderVariant:
         o = run_oreo(pdf, ds.TPCH_LITE, workload, alpha=ALPHA, **kw)
         for r in (s, g, o):
             assert 0 < r.query_cost <= len(workload)
+
+
+class TestSharedCandidateStream:
+    """Greedy, Regret and OREO read one memoized candidate stream: whichever
+    runs first fills it, and no order may change an output."""
+
+    @pytest.mark.parametrize("dataset", sorted(SETUPS))
+    def test_method_order_does_not_change_outputs(self, dataset, monkeypatch):
+        inputs = {dataset: (
+            ds.build_pdf(dataset, sf=0.005, seed=3),
+            ds.SPECS[dataset],
+            generate_workload(dataset, n_queries=600, n_segments=6, seed=5),
+        )}
+        for order in itertools.permutations(("greedy", "regret", "oreo")):
+            monkeypatch.setattr(layout_manager, "_held", None)
+            for method in order:
+                got = outputs(inputs, dataset, method)
+                assert got == GOLDENS[dataset, method], (order, method)

@@ -1,11 +1,18 @@
 """Unit tests for candidate generation and ε-admission (Algorithm 5)."""
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.core.layout_manager import CandidateGenerator, LayoutManager, StateEvent
-from repro.core.oreo import default_layout
+from repro.baselines.runners import run_greedy, run_regret
+from repro.core import layout_manager
+from repro.core.layout_manager import (
+    CandidateGenerator, LayoutManager, StateEvent, candidate_stream,
+)
+from repro.core.oreo import default_layout, run_oreo
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
+from repro.workload.queries import compile_queries
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +23,11 @@ def pdf():
 @pytest.fixture(scope="module")
 def workload():
     return generate_workload("tpch_lite", n_queries=600, n_segments=6, seed=37)
+
+
+@pytest.fixture(scope="module")
+def stream(workload):
+    return compile_queries(workload.queries)
 
 
 def make_gen(pdf, **kw):
@@ -70,14 +82,21 @@ class TestCandidateGenerator:
         with pytest.raises(ValueError):
             make_gen(pdf, strategy="nope")
 
+    @pytest.mark.parametrize("arg", ["window", "regen_every"])
+    def test_rejects_nonpositive_cadence(self, pdf, arg):
+        with pytest.raises(ValueError, match=arg):
+            make_gen(pdf, **{arg: 0})
+
 
 class TestLayoutManager:
     def _manager(self, pdf, workload, **kw):
-        gen = make_gen(pdf)
         init = default_layout(pdf, ds.TPCH_LITE, 8)
-        args = dict(epsilon=0.08, eval_sample_size=30, max_states=5, seed=0)
+        args = dict(
+            k=8, window=100, regen_every=50, epsilon=0.08, eval_sample_size=30,
+            max_states=5, seed=0,
+        )
         args.update(kw)
-        return LayoutManager(gen, init, workload.queries, **args), init
+        return LayoutManager(pdf, ds.TPCH_LITE, init, workload.queries, **args), init
 
     def test_distance_metric(self):
         a, b = np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.5, 0.5])
@@ -136,3 +155,104 @@ class TestLayoutManager:
     def test_rejects_bad_epsilon(self, pdf, workload):
         with pytest.raises(ValueError):
             self._manager(pdf, workload, epsilon=1.5)
+
+    def test_rejects_nonpositive_max_states(self, pdf, workload):
+        with pytest.raises(ValueError, match="max_states"):
+            self._manager(pdf, workload, max_states=0)
+
+
+# Parameters of the stream the TestCandidateStream cases start from.
+STREAM = dict(k=8, layout_kind="qdtree", strategy="sw", window=100, regen_every=50, seed=0)
+
+
+def assert_same_births(a, b):
+    assert len(a) == len(b)
+    for born_a, born_b in zip(a, b):
+        assert [n for n, _ in born_a] == [n for n, _ in born_b]
+        for (_, ca), (_, cb) in zip(born_a, born_b):
+            np.testing.assert_array_equal(ca, cb)
+
+
+class TestCandidateStream:
+    """The one memoized candidate stream shared by the online methods."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(layout_manager, "_held", None)
+
+    def test_births_match_the_generator(self, pdf, workload, stream):
+        births = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
+        gen = make_gen(pdf)
+        assert [[n for n, _ in b] for b in births] == [
+            [c.name for c in gen.step(q)] for q in workload.queries
+        ]
+        assert all(isinstance(col, np.ndarray) for b in births for _, col in b)
+
+    def test_same_inputs_reuse_the_entry(self, pdf, stream):
+        first = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
+        again = candidate_stream(pdf, ds.TPCH_LITE, compile_queries(list(stream.queries)), **STREAM)
+        assert again is first
+
+    @pytest.mark.parametrize("change", [
+        "frame", "workload", "k", "layout_kind", "strategy", "window", "regen_every", "seed",
+    ])
+    def test_any_key_change_rebuilds(self, pdf, workload, stream, change):
+        args = dict(STREAM)
+        frame, queries = pdf, workload.queries
+        if change == "frame":
+            frame = pdf.copy()
+            col = ds.TPCH_LITE.numeric_cols[0]
+            frame[col] = frame[col].to_numpy()[::-1]
+        elif change == "workload":
+            queries = generate_workload("tpch_lite", n_queries=600, n_segments=6, seed=37).queries
+            assert queries == workload.queries and queries[0] is not workload.queries[0]
+        else:
+            args[change] = {
+                "k": 6, "layout_kind": "zorder", "strategy": "rs",
+                "window": 60, "regen_every": 40, "seed": 1,
+            }[change]
+        base = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
+        changed = candidate_stream(frame, ds.TPCH_LITE, compile_queries(queries), **args)
+        assert changed is not base
+        layout_manager._held = None
+        fresh = candidate_stream(frame, ds.TPCH_LITE, compile_queries(queries), **args)
+        assert_same_births(changed, fresh)
+
+    def test_a_miss_frees_the_held_entry_before_building(self, pdf, stream, monkeypatch):
+        births = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
+        old_col = weakref.ref(next(col for b in births for _, col in b))
+        del births
+        alive_at_build = []
+        orig = CandidateGenerator.step
+
+        def step(gen, q):
+            alive_at_build.append(old_col() is not None)
+            return orig(gen, q)
+
+        monkeypatch.setattr(CandidateGenerator, "step", step)
+        candidate_stream(pdf, ds.TPCH_LITE, stream, **{**STREAM, "seed": 1})
+        assert alive_at_build and not any(alive_at_build)
+
+    def test_a_cell_builds_each_candidate_once(self, pdf, workload, stream, monkeypatch):
+        built = []
+        orig = layout_manager.build_qdtree
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["name"])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(layout_manager, "build_qdtree", counting)
+        kw = dict(k=8, window=100, regen_every=50, seed=0)
+        for run in (run_greedy, run_regret, run_oreo):
+            run(pdf, ds.TPCH_LITE, workload, alpha=20.0, **kw)
+        births = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
+        assert built == [n for b in births for n, _ in b]
+
+    @pytest.mark.parametrize("bad", [
+        {"max_states": 0}, {"regen_every": 0}, {"window": 0},
+    ])
+    def test_bad_parameters_fail_before_the_memo(self, pdf, workload, stream, bad):
+        held = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            run_oreo(pdf, ds.TPCH_LITE, workload, **{**STREAM, **bad})
+        assert layout_manager._held.births is held
