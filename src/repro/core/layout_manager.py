@@ -8,10 +8,13 @@ that set is one computed value, the *candidate stream*:
   builds a new candidate layout (Qd-tree or Z-order) from the current query
   sample (sliding window, reservoir, or both) on a small data sample, and
   materializes its partition metadata on the full dataset (the stats a real
-  reorganization would produce in Parquet footers).
+  reorganization would produce in Parquet footers). A Z-order candidate is
+  determined by its column tuple, so each distinct tuple is built once; a
+  later candidate with the same tuple is the first one under its own name.
 - :func:`candidate_stream` — runs a generator over a whole query stream and
   lists, for each position ``t``, the candidates born there as ``(name,
-  cost column over the whole stream)``. The layouts themselves are dropped.
+  cost column over the whole stream)``; a repeated Z-order candidate shares
+  the first one's column. The layouts themselves are dropped.
   It holds one memoized entry, so the first online method of a cell (OREO,
   Greedy or Regret with the same parameters) builds, materializes and costs
   each candidate, and the others reuse it. An entry is reused only for the
@@ -37,7 +40,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +49,7 @@ import pandas as pd
 from repro.core.rtbs import TimeBiasedReservoir
 from repro.layouts.metadata import MaterializedLayout, build_materialized
 from repro.layouts.qdtree import build_qdtree
-from repro.layouts.zorder import build_zorder
+from repro.layouts.zorder import build_zorder, top_queried_columns
 from repro.workload.datasets import DatasetSpec
 from repro.workload.queries import CompiledQueries, Query, compile_queries
 
@@ -135,13 +138,27 @@ class CandidateGenerator:
         self.t = 0
         self._seed = seed
         self.sample = data_sample(pdf, seed)
+        # The first Z-order candidate built on each column tuple, and for
+        # every later candidate with that tuple, the first one's name.
+        self._zorder_built: dict[tuple[str, ...], MaterializedLayout] = {}
+        self.repeat_of: dict[str, str] = {}
 
     def _build(self, queries: list[Query], tag: str) -> MaterializedLayout:
-        return build_layout(
+        name = f"{self.layout_kind}:{tag}@{self.t}"
+        if self.layout_kind == "zorder":
+            # The window enters a Z-order build only through this tuple.
+            cols = top_queried_columns(queries)
+            first = self._zorder_built.get(cols)
+            if first is not None:
+                self.repeat_of[name] = first.name
+                return replace(first, name=name, layout=replace(first.layout, name=name))
+        cand = build_layout(
             self.pdf, self.spec, self.sample, queries, self.k,
-            layout_kind=self.layout_kind, name=f"{self.layout_kind}:{tag}@{self.t}",
-            seed=self._seed,
+            layout_kind=self.layout_kind, name=name, seed=self._seed,
         )
+        if self.layout_kind == "zorder":
+            self._zorder_built[cols] = cand
+        return cand
 
     def step(self, q: Query) -> list[MaterializedLayout]:
         """Observe one query; return newly generated candidates (often none)."""
@@ -211,9 +228,17 @@ def candidate_stream(
         pdf, spec, k=k, layout_kind=layout_kind, strategy=strategy,
         window=window, regen_every=regen_every, seed=seed,
     )
-    births = [
-        tuple((c.name, c.cost_vector(stream)) for c in gen.step(q)) for q in stream.queries
-    ]
+    births: Births = []
+    costed: dict[str, np.ndarray] = {}  # name of each candidate built -> its column
+    for q in stream.queries:
+        born = []
+        for c in gen.step(q):
+            if c.name in gen.repeat_of:
+                col = costed[gen.repeat_of[c.name]]
+            else:
+                col = costed[c.name] = c.cost_vector(stream)
+            born.append((c.name, col))
+        births.append(tuple(born))
     _held = _Entry(key, pdf, stream.queries, births)
     return births
 

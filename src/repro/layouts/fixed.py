@@ -2,10 +2,11 @@
 
 This is the layout OREO starts from before it has seen any queries —
 "start with a default data layout, such as partitioning by time" (§IV-A).
-Partition boundaries are quantiles of the sort column computed from a data
-sample, giving ~equal-sized partitions; assignment is a searchsorted over
-those boundaries, so it is a pure function of the row values and can be
-re-applied to any data (including inside Spark via mapInPandas).
+Partition boundaries are quantiles of the sort column's non-NaN values in
+a data sample, giving ~equal-sized partitions; assignment is a searchsorted
+over those boundaries, so it is a pure function of the row values and can
+be re-applied to any data (including inside Spark via mapInPandas). NaN
+rows sort past the last boundary, into the top partition.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
+
+from repro.layouts.zorder import sorted_quantiles
 
 
 @dataclass(frozen=True)
@@ -42,5 +45,8 @@ def build_fixed(pdf: pd.DataFrame, col: str, k: int) -> FixedRangeLayout:
     if k < 1:
         raise ValueError("k must be >= 1")
     qs = np.linspace(0, 1, k + 1)[1:-1]
-    cuts = np.unique(np.quantile(pdf[col].to_numpy(), qs))
+    v = pdf[col].to_numpy()
+    if v.dtype.kind == "f":
+        v = v[~np.isnan(v)]
+    cuts = np.unique(sorted_quantiles(v, qs)) if len(v) else ()
     return FixedRangeLayout(col=col, cuts=tuple(float(c) for c in cuts))

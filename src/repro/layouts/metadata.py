@@ -7,26 +7,32 @@ estimate query costs incurred by different layouts without accessing the
 underlying dataset" (§VI-A1). This module is that machinery:
 
 - :class:`MaterializedLayout` — per-partition row counts, per-column
-  min/max arrays (numeric) and distinct-value sets (categorical).
+  min/max arrays (numeric) and, per categorical column, the frame's
+  categories with a (P × V) boolean presence matrix: entry ``[p, v]`` says
+  whether category ``v`` occurs in partition ``p``.
   ``cost_vector`` costs a whole compiled query stream
   (:func:`~repro.workload.queries.compile_queries`) in one pass: a (Q × P)
   keep mask from broadcast comparisons against the min/max arrays and,
-  per categorical column, ``mask @ presence.T`` against a (P × V)
-  distinct-value matrix over the stream's vocabulary; then
+  per categorical column, ``mask @ presence.T`` after one
+  ``get_indexer`` maps the stream's vocabulary onto the categories; then
   ``keep @ rows / n_rows``, the fraction of rows in partitions the metadata
   cannot prove irrelevant. This is the service cost ``c(s, q)`` of the
   D-UMTS formulation. ``cost``, ``relevant_partitions`` and
   ``relevant_bids`` are the one-query calls through the same kernel.
 - :func:`build_materialized` — compute that metadata from a pandas frame
   plus a BID assignment, the same stats a Parquet writer would put in
-  file footers.
+  file footers. Categorical columns are read as dictionary codes through
+  ``astype("category")``: a no-op on the dataset builders' ``Categorical``
+  columns, a one-off coding of any other frame (a Spark batch's strings).
 
 Pruning here is *sound by construction*: a partition is skipped only when
 its min/max (or distinct set) is disjoint from a predicate, so skipping can
 never change query results — tests assert this against row-level ground
 truth, and the Spark integration asserts it against the DuckDB oracle.
 Min/max ignore NaN, as Parquet statistics do: NaN satisfies no range
-predicate, so no NaN row ever needs its partition read.
+predicate, so no NaN row ever needs its partition read. Missing
+categorical values are in no partition's presence row, as no IN list
+matches them.
 """
 from __future__ import annotations
 
@@ -49,7 +55,8 @@ class MaterializedLayout:
     rows: np.ndarray  # (n_partitions,) row count per partition
     mins: dict[str, np.ndarray]  # numeric col -> (n_partitions,) min
     maxs: dict[str, np.ndarray]  # numeric col -> (n_partitions,) max
-    distinct: dict[str, list[frozenset]]  # categorical col -> per-partition sets
+    # categorical col -> (categories, (n_partitions, len(categories)) presence)
+    distinct: dict[str, tuple[pd.Index, np.ndarray]]
     # The generator object that produced this layout (has .assign), if any.
     layout: object | None = field(default=None, repr=False, compare=False)
 
@@ -66,14 +73,17 @@ class MaterializedLayout:
                 keep &= self.maxs[col] >= lo[:, None]
                 keep &= self.mins[col] <= stream.hi[col][:, None]
         for col, (vocab, slots) in stream.ins.items():
-            sets = self.distinct.get(col)
-            if sets is None:
+            if col not in self.distinct:
                 continue
-            presence = np.array(
-                [[v in s for v in vocab] for s in sets], dtype=np.float32
-            ).reshape(self.n_partitions, len(vocab))
+            values, presence = self.distinct[col]
+            # The stream's vocabulary as columns of ``presence``; a value
+            # absent from the frame is in no partition.
+            idx = values.get_indexer(vocab)
+            hit = idx >= 0
+            pres = np.zeros((self.n_partitions, len(vocab)), dtype=np.float32)
+            pres[:, hit] = presence[:, idx[hit]]
             for mask, has in slots:
-                keep &= (mask @ presence.T > 0) | ~has[:, None]
+                keep &= (mask @ pres.T > 0) | ~has[:, None]
         return keep
 
     def _cost(self, keep: np.ndarray) -> np.ndarray:
@@ -158,14 +168,14 @@ def build_materialized(
         mins[c] = np.where(np.isnan(lo), np.inf, lo)
         maxs[c] = np.where(np.isnan(hi), -np.inf, hi)
 
-    distinct: dict[str, list[frozenset]] = {}
+    distinct: dict[str, tuple[pd.Index, np.ndarray]] = {}
     for c in categorical_cols:
-        v = pdf[c].to_numpy()[order]
-        sets = []
-        for b in range(n_parts):
-            s, e = bounds[b], bounds[b + 1]
-            sets.append(frozenset(v[s:e]) if e > s else frozenset())
-        distinct[c] = sets
+        cat = pdf[c].astype("category").array
+        codes = cat.codes
+        present = codes >= 0  # a missing value has code -1
+        presence = np.zeros((n_parts, len(cat.categories)), dtype=bool)
+        presence[bids[present], codes[present]] = True
+        distinct[c] = (cat.categories, presence)
 
     return MaterializedLayout(
         name=name,

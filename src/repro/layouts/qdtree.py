@@ -35,7 +35,10 @@ and queries at once:
   taken only if positive, so ties go to the first cut harvested.
 
 Leaf ranges ignore NaN (an all-NaN range is empty, ``(inf, -inf)``) and NaN
-rows route right (``NaN < v`` is false), both here and in ``assign``.
+rows route right (``NaN < v`` is false), both here and in ``assign``. A
+missing categorical value is in no cut's value set, so it routes right too.
+``assign`` reads categorical columns as dictionary codes
+(``astype("category")``) and routes a categorical cut by a mask over them.
 
 The returned :class:`QdTreeLayout` assigns BIDs to any dataframe by vectorized
 tree routing, so the same object drives both the simulator (metadata from the
@@ -95,15 +98,23 @@ class QdTreeLayout:
         bids = np.empty(len(pdf), dtype=np.int64)
         idx = np.arange(len(pdf))
         stack = [(self.root, idx)]
+        cats = {}  # column -> its dictionary codes, as a ``Categorical``
         while stack:
             node, rows = stack.pop()
             if node.cut is None:
                 bids[rows] = node.bid
                 continue
+            c = node.cut.col
             if isinstance(node.cut, NumCut):
-                m = pdf[node.cut.col].to_numpy()[rows] < node.cut.v
+                m = pdf[c].to_numpy()[rows] < node.cut.v
             else:
-                m = pdf[node.cut.col].iloc[rows].isin(node.cut.values).to_numpy()
+                if c not in cats:
+                    cats[c] = pdf[c].astype("category").array
+                cat = cats[c]
+                # The cut's categories as a code mask; a missing value
+                # (code -1) indexes the trailing False.
+                left = np.append(cat.categories.isin(node.cut.values), False)
+                m = left[cat.codes[rows]]
             stack.append((node.left, rows[m]))
             stack.append((node.right, rows[~m]))
         return bids

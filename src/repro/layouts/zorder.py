@@ -5,13 +5,21 @@ into equal-sized partitions. To make Z-ordering workload-aware, we use the
 top three most queried columns in the sliding window". We reproduce that:
 
 1. pick the ``n_cols`` most frequently filtered columns in the window,
-2. quantile-rank each chosen column into ``2^bits`` buckets (categorical
-   columns are ranked by lexicographic code), using boundaries computed
-   from a data sample: numpy's ``linear`` quantiles, taken from one sort of
-   the column's non-NaN values (:func:`sorted_quantiles`). NaN rows rank
-   past the last boundary, into the top bucket,
+2. quantile-rank each chosen column into ``2^bits`` buckets, using
+   boundaries computed from a data sample: numpy's ``linear`` quantiles,
+   taken from one sort of the column's non-NaN values
+   (:func:`sorted_quantiles`). NaN rows rank past the last boundary, into
+   the top bucket. A categorical column is ranked by the lexicographic
+   order of the values present in the sample; a missing value, or one the
+   sample lacks, takes the top rank. Rows are ranked through their
+   dictionary codes (``astype("category")``): one lookup array over the
+   frame's categories, indexed by the codes,
 3. interleave the bucket bits into a Morton code and split its sorted
    order into ``k`` equal partitions via precomputed code boundaries.
+
+The window enters a build only through step 1, so a Z-order layout is
+determined by its column tuple (and the sample): two windows with the same
+top columns give the same layout.
 
 Assignment is again a pure function of row values (quantile boundaries +
 z-code boundaries are stored in the layout), reusable in the simulator and
@@ -28,11 +36,12 @@ import pandas as pd
 from repro.workload.queries import Query
 
 BITS = 10  # per-column resolution of the Morton code
+N_COLS = 3  # columns a layout orders on: the window's top three (§VI-A1)
 
 
-def top_queried_columns(queries: list[Query] | tuple[Query, ...], n_cols: int = 3) -> tuple[str, ...]:
+def top_queried_columns(queries: list[Query] | tuple[Query, ...], n_cols: int = N_COLS) -> tuple[str, ...]:
     """The ``n_cols`` most frequently filtered columns (ties: lexicographic)."""
-    counts = Counter(c for q in queries for c in q.columns)
+    counts = Counter(p.col for q in queries for p in q.predicates)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(c for c, _ in ranked[:n_cols])
 
@@ -93,12 +102,15 @@ class ZOrderLayout:
     def _codes(self, pdf: pd.DataFrame) -> list[np.ndarray]:
         codes = []
         for col, rb in zip(self.cols, self.rank_bounds):
-            v = pdf[col]
             if isinstance(rb, dict):
+                cat = pdf[col].astype("category").array
+                # Rank per category, plus the top rank at position -1 for
+                # the missing values' code.
                 mx = max(rb.values(), default=0)
-                c = v.map(rb).fillna(mx).to_numpy(dtype=np.int64)
+                lookup = np.array([rb.get(v, mx) for v in cat.categories] + [mx], dtype=np.int64)
+                c = lookup[cat.codes]
             else:
-                c = np.searchsorted(np.asarray(rb), v.to_numpy(), side="right").astype(np.int64)
+                c = np.searchsorted(np.asarray(rb), pdf[col].to_numpy(), side="right").astype(np.int64)
             codes.append(c)
         return codes
 
@@ -119,7 +131,7 @@ def build_zorder(
     k: int,
     *,
     categorical_cols: tuple[str, ...] = (),
-    n_cols: int = 3,
+    n_cols: int = N_COLS,
     name: str = "zorder",
 ) -> ZOrderLayout:
     """Build a k-partition Z-order layout on the top queried columns."""
@@ -133,7 +145,9 @@ def build_zorder(
     rank_bounds: list = []
     for col in cols:
         if col in categorical_cols:
-            vals = sorted(set(sample[col]))
+            cat = sample[col].astype("category").array
+            present = np.unique(cat.codes)
+            vals = sorted(cat.categories[present[present >= 0]])
             scale = max(1, n_buckets // max(1, len(vals)))
             rank_bounds.append({v: i * scale for i, v in enumerate(vals)})
         else:

@@ -6,7 +6,9 @@ Spark result). This catches wrong results from a rewritten plan or a
 custom operator — "it ran" is not "it is correct".
 
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
+collected via ``.toPandas()``. A pandas ``Categorical`` column is
+registered as its values, as ``spark.createDataFrame`` reads it (DuckDB
+would otherwise see an ENUM). Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``) and project to scalar columns — array/map/struct
 columns are not orderable so cannot be compared here.
@@ -29,7 +31,9 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+            if isinstance(t, DataFrame):
+                t = t.toPandas()
+            con.register(name, t.astype({c: object for c in t.select_dtypes("category")}))
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()

@@ -10,7 +10,10 @@ templates filter on (see DESIGN.md §3 for the substitution rationale).
 Conventions: dates are int32 "days since 1992-01-01" (resp. minutes for
 telemetry) so every non-categorical column is numeric — this keeps min/max
 partition metadata, Z-ordering and the DuckDB oracle uniform. Categorical
-columns are plain strings. All builders are deterministic in ``seed``.
+columns are pandas ``Categorical`` over string values, with the column's
+domain as sorted categories: each is built from the drawn value indices, so
+the layouts read dictionary codes without re-coding the strings. All
+builders are deterministic in ``seed``.
 
 Row counts at sf=1.0 are ~600K (fact-table rows), so tests at sf=0.01 get
 ~6K rows and benchmarks at sf=0.1 get ~60K.
@@ -44,11 +47,24 @@ class DatasetSpec:
         return self.numeric_cols + self.categorical_cols
 
 
-def _zipf_choice(g: np.random.Generator, values: list[str], n: int, a: float = 1.3) -> np.ndarray:
-    ranks = np.arange(1, len(values) + 1, dtype=float)
+def _zipf_index(g: np.random.Generator, n_values: int, n: int, a: float = 1.3) -> np.ndarray:
+    """``n`` indices into a list of ``n_values``, zipf-popular by position."""
+    ranks = np.arange(1, n_values + 1, dtype=float)
     w = ranks**-a
     w /= w.sum()
-    return g.choice(np.asarray(values, dtype=object), size=n, p=w)
+    return g.choice(n_values, size=n, p=w)
+
+
+def _categorical(values: list[str], idx: np.ndarray) -> pd.Categorical:
+    """``values[idx]`` as a ``Categorical`` whose categories are ``sorted(values)``.
+
+    Drawing indices and coding them here gives the values a draw from
+    ``values`` itself would give (``Generator.choice`` consumes the same
+    random numbers for an array and for its length).
+    """
+    cats = sorted(values)
+    rank = np.array([cats.index(v) for v in values], dtype=np.int64)
+    return pd.Categorical.from_codes(rank[idx], categories=cats)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +101,9 @@ TPCH_LITE = DatasetSpec(
     default_sort_col="l_shipdate",
 )
 
+RETURNFLAGS = list("NRA")
+LINESTATUSES = list("OF")
+ORDERSTATUSES = ["O", "F", "P"]
 SHIPMODES = ["AIR", "AIR REG", "MAIL", "SHIP", "TRUCK", "RAIL", "FOB"]
 PRIORITIES = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"]
 MKTSEGMENTS = ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"]
@@ -104,17 +123,17 @@ def tpch_lite_pdf(sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     # Dimension tables as column arrays, joined via fancy indexing.
     o_orderdate = g.integers(0, DATE_SPAN - 150, n_orders)
     o_totalprice = (g.random(n_orders) * 500_000 + 1_000).round(2)
-    o_priority = g.choice(np.asarray(PRIORITIES, dtype=object), n_orders)
-    o_status = g.choice(np.asarray(["O", "F", "P"], dtype=object), n_orders)
+    o_priority = g.choice(len(PRIORITIES), n_orders)
+    o_status = g.choice(len(ORDERSTATUSES), n_orders)
     o_custkey = g.integers(0, n_cust, n_orders)
 
     c_nationkey = g.integers(0, 25, n_cust)
     c_acctbal = (g.random(n_cust) * 11_000 - 1_000).round(2)
-    c_mktsegment = g.choice(np.asarray(MKTSEGMENTS, dtype=object), n_cust)
+    c_mktsegment = g.choice(len(MKTSEGMENTS), n_cust)
 
-    p_brand = g.choice(np.asarray(BRANDS, dtype=object), n_part)
-    p_type = g.choice(np.asarray(PTYPES, dtype=object), n_part)
-    p_container = g.choice(np.asarray(CONTAINERS, dtype=object), n_part)
+    p_brand = g.choice(len(BRANDS), n_part)
+    p_type = g.choice(len(PTYPES), n_part)
+    p_container = g.choice(len(CONTAINERS), n_part)
     p_size = g.integers(1, 51, n_part)
     p_retailprice = (900 + (np.arange(n_part) % 1000) / 10.0).round(2)
 
@@ -138,19 +157,19 @@ def tpch_lite_pdf(sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
             "l_shipdate": l_shipdate.astype(np.int32),
             "l_commitdate": l_commitdate.astype(np.int32),
             "l_receiptdate": l_receiptdate.astype(np.int32),
-            "l_returnflag": g.choice(np.asarray(list("NRA"), dtype=object), n),
-            "l_linestatus": g.choice(np.asarray(list("OF"), dtype=object), n),
-            "l_shipmode": g.choice(np.asarray(SHIPMODES, dtype=object), n),
+            "l_returnflag": _categorical(RETURNFLAGS, g.choice(len(RETURNFLAGS), n)),
+            "l_linestatus": _categorical(LINESTATUSES, g.choice(len(LINESTATUSES), n)),
+            "l_shipmode": _categorical(SHIPMODES, g.choice(len(SHIPMODES), n)),
             "o_orderdate": o_orderdate[okey].astype(np.int32),
             "o_totalprice": o_totalprice[okey],
-            "o_orderpriority": o_priority[okey],
-            "o_orderstatus": o_status[okey],
+            "o_orderpriority": _categorical(PRIORITIES, o_priority[okey]),
+            "o_orderstatus": _categorical(ORDERSTATUSES, o_status[okey]),
             "c_nationkey": c_nationkey[ckey].astype(np.int32),
             "c_acctbal": c_acctbal[ckey],
-            "c_mktsegment": c_mktsegment[ckey],
-            "p_brand": p_brand[pkey],
-            "p_type": p_type[pkey],
-            "p_container": p_container[pkey],
+            "c_mktsegment": _categorical(MKTSEGMENTS, c_mktsegment[ckey]),
+            "p_brand": _categorical(BRANDS, p_brand[pkey]),
+            "p_type": _categorical(PTYPES, p_type[pkey]),
+            "p_container": _categorical(CONTAINERS, p_container[pkey]),
             "p_size": p_size[pkey].astype(np.int32),
             "p_retailprice": p_retailprice[pkey],
         }
@@ -191,6 +210,9 @@ TPCDS_LITE = DatasetSpec(
 CATEGORIES = ["Books", "Music", "Home", "Sports", "Shoes", "Women", "Men", "Children", "Electronics", "Jewelry"]
 EDUCATIONS = ["Primary", "Secondary", "College", "2 yr Degree", "4 yr Degree", "Advanced Degree", "Unknown"]
 MARITALS = ["M", "S", "D", "W", "U"]
+ITEM_BRANDS = [f"brand#{k}" for k in range(1, 51)]
+GENDERS = ["M", "F"]
+STORES = [f"store_{k:02d}" for k in range(20)]
 STATES = ["GA", "CA", "TX", "NY", "WA", "IL", "FL", "OH", "PA", "MI", "NC", "VA", "TN", "MO", "MD", "CO", "OR", "AZ", "MA", "NJ"]
 
 
@@ -201,24 +223,21 @@ def tpcds_lite_pdf(sf: float = 0.01, seed: int = 10) -> pd.DataFrame:
     n_cust = max(8, n // 40)
     g = np.random.default_rng(seed)
 
-    i_category = g.choice(np.asarray(CATEGORIES, dtype=object), n_item)
-    i_brand = g.choice(np.asarray([f"brand#{k}" for k in range(1, 51)], dtype=object), n_item)
+    i_category = g.choice(len(CATEGORIES), n_item)
+    i_brand = g.choice(len(ITEM_BRANDS), n_item)
     i_price = (g.random(n_item) * 300 + 1).round(2)
 
-    cd_gender = g.choice(np.asarray(["M", "F"], dtype=object), n_cust)
-    cd_marital = g.choice(np.asarray(MARITALS, dtype=object), n_cust)
-    cd_education = g.choice(np.asarray(EDUCATIONS, dtype=object), n_cust)
+    cd_gender = g.choice(len(GENDERS), n_cust)
+    cd_marital = g.choice(len(MARITALS), n_cust)
+    cd_education = g.choice(len(EDUCATIONS), n_cust)
     hd_dep = g.integers(0, 10, n_cust)
-    ca_state = _zipf_choice(g, STATES, n_cust, a=1.0)
+    ca_state = _zipf_index(g, len(STATES), n_cust, a=1.0)
 
     ikey = g.integers(0, n_item, n)
     ckey = g.integers(0, n_cust, n)
     sold = g.integers(0, DATE_SPAN, n)
-    store_ids = np.asarray([f"store_{k:02d}" for k in range(20)], dtype=object)
-    store = _zipf_choice(g, list(store_ids), n, a=0.8)
-    s_state = np.asarray(STATES, dtype=object)[
-        pd.Series(store).str.slice(-2).astype(int).to_numpy() % len(STATES)
-    ]
+    # Store ``store_{k}`` is in state ``STATES[k % len(STATES)]``.
+    store = _zipf_index(g, len(STORES), n, a=0.8)
     qty = g.integers(1, 101, n)
     price = i_price[ikey] * (0.5 + g.random(n) * 0.7)
 
@@ -234,14 +253,14 @@ def tpcds_lite_pdf(sf: float = 0.01, seed: int = 10) -> pd.DataFrame:
             "ss_wholesale_cost": (i_price[ikey] * 0.6).round(2),
             "i_price": i_price[ikey],
             "hd_dep_count": hd_dep[ckey].astype(np.int32),
-            "s_store": store,
-            "s_state": s_state,
-            "i_category": i_category[ikey],
-            "i_brand": i_brand[ikey],
-            "cd_gender": cd_gender[ckey],
-            "cd_marital_status": cd_marital[ckey],
-            "cd_education": cd_education[ckey],
-            "ca_state": ca_state[ckey],
+            "s_store": _categorical(STORES, store),
+            "s_state": _categorical(STATES, store % len(STATES)),
+            "i_category": _categorical(CATEGORIES, i_category[ikey]),
+            "i_brand": _categorical(ITEM_BRANDS, i_brand[ikey]),
+            "cd_gender": _categorical(GENDERS, cd_gender[ckey]),
+            "cd_marital_status": _categorical(MARITALS, cd_marital[ckey]),
+            "cd_education": _categorical(EDUCATIONS, cd_education[ckey]),
+            "ca_state": _categorical(STATES, ca_state[ckey]),
         }
     )
 
@@ -257,7 +276,9 @@ TELEMETRY = DatasetSpec(
     default_sort_col="arrival_time",
 )
 
+COLLECTORS = [f"collector_{k:03d}" for k in range(50)]
 JOB_TYPES = [f"job_{k}" for k in range(10)]
+TEAMS = [f"team_{k:02d}" for k in range(30)]
 STATUSES = ["SUCCESS", "FAILED", "TIMEOUT", "RETRY"]
 
 
@@ -268,20 +289,17 @@ def telemetry_pdf(sf: float = 0.01, seed: int = 20) -> pd.DataFrame:
     # Arrivals grow over time (recent periods are busier), matching a
     # production log table where ingestion volume increases.
     t = (TELEMETRY_SPAN_MIN * np.sqrt(g.random(n))).astype(np.int64)
-    collectors = [f"collector_{k:03d}" for k in range(50)]
-    status = g.choice(
-        np.asarray(STATUSES, dtype=object), n, p=[0.85, 0.08, 0.04, 0.03]
-    )
+    status = g.choice(len(STATUSES), n, p=[0.85, 0.08, 0.04, 0.03])
     return pd.DataFrame(
         {
             "arrival_time": t.astype(np.int64),
             "duration_ms": (g.lognormal(8, 1.2, n)).round(1),
             "rows_ingested": g.integers(0, 5_000_000, n).astype(np.int64),
             "payload_kb": (g.lognormal(6, 1.5, n)).round(1),
-            "collector": _zipf_choice(g, collectors, n, a=1.2),
-            "job_type": _zipf_choice(g, JOB_TYPES, n, a=0.9),
-            "status": status,
-            "team": _zipf_choice(g, [f"team_{k:02d}" for k in range(30)], n, a=1.0),
+            "collector": _categorical(COLLECTORS, _zipf_index(g, len(COLLECTORS), n, a=1.2)),
+            "job_type": _categorical(JOB_TYPES, _zipf_index(g, len(JOB_TYPES), n, a=0.9)),
+            "status": _categorical(STATUSES, status),
+            "team": _categorical(TEAMS, _zipf_index(g, len(TEAMS), n, a=1.0)),
         }
     )
 

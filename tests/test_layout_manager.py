@@ -7,12 +7,12 @@ import pytest
 from repro.baselines.runners import run_greedy, run_regret
 from repro.core import layout_manager
 from repro.core.layout_manager import (
-    CandidateGenerator, LayoutManager, StateEvent, candidate_stream,
+    CandidateGenerator, LayoutManager, StateEvent, candidate_stream, materialize,
 )
 from repro.core.oreo import default_layout, run_oreo
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
-from repro.workload.queries import compile_queries
+from repro.workload.queries import InPredicate, Query, RangePredicate, compile_queries
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +256,82 @@ class TestCandidateStream:
         with pytest.raises(ValueError, match=next(iter(bad))):
             run_oreo(pdf, ds.TPCH_LITE, workload, **{**STREAM, **bad})
         assert layout_manager._held.births is held
+
+
+def _segment(cols: tuple[str, str, str], lo: int, n: int = 100) -> list[Query]:
+    """``n`` queries filtering on ``cols`` (two ranges, then an IN list),
+    with bounds that move with ``lo``. Each column is filtered once per
+    query, so the window's column tuple is ``cols`` sorted."""
+    a, b, c = cols
+    return [
+        Query((
+            RangePredicate(a, lo=lo + i, hi=lo + i + 300),
+            RangePredicate(b, lo=i % 40, hi=i % 40 + 10),
+            InPredicate(c, frozenset({("BUILDING", "MACHINERY", "Brand#11")[i % 3]})),
+        ))
+        for i in range(n)
+    ]
+
+
+class TestZOrderRepeats:
+    """A Z-order candidate is determined by its column tuple: each distinct
+    tuple is built, materialized and costed once."""
+
+    A = ("l_shipdate", "l_quantity", "c_mktsegment")
+    B = ("o_orderdate", "l_discount", "p_brand")
+    # Window = cadence = segment length, so each candidate's window is one
+    # segment: the tuples run A, B, A, A, B over five windows of different
+    # queries.
+    ARGS = dict(k=8, layout_kind="zorder", strategy="sw", window=100, regen_every=100, seed=0)
+
+    @pytest.fixture
+    def queries(self):
+        return (
+            _segment(self.A, 100) + _segment(self.B, 200) + _segment(self.A, 900)
+            + _segment(self.A, 1500) + _segment(self.B, 1200)
+        )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"build_zorder": [], "build_materialized": []}
+        for fn in calls:
+            orig = getattr(layout_manager, fn)
+
+            def counting(*args, _orig=orig, _log=calls[fn], **kwargs):
+                _log.append(kwargs["name"])
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(layout_manager, fn, counting)
+        monkeypatch.setattr(layout_manager, "_held", None)
+        return calls
+
+    def test_each_tuple_is_built_once(self, pdf, queries, calls):
+        gen = CandidateGenerator(pdf, ds.TPCH_LITE, **self.ARGS)
+        cands = [c for q in queries for c in gen.step(q)]
+        names = [f"zorder:sw@{t}" for t in (100, 200, 300, 400, 500)]
+        assert [c.name for c in cands] == names
+        assert [c.layout.name for c in cands] == names
+        a, b = sorted(self.A), sorted(self.B)
+        assert [list(c.layout.cols) for c in cands] == [a, b, a, a, b]
+        assert calls == {"build_zorder": names[:2], "build_materialized": names[:2]}
+        assert gen.repeat_of == {names[2]: names[0], names[3]: names[0], names[4]: names[1]}
+        # A repeat is the layout a build on its own window gives.
+        for c in cands[2:]:
+            fresh = materialize(pdf, ds.TPCH_LITE, c.layout)
+            np.testing.assert_array_equal(fresh.rows, c.rows)
+            assert fresh.name == c.name
+
+    def test_candidate_stream_costs_each_tuple_once(self, pdf, queries, calls):
+        stream = compile_queries(queries)
+        births = candidate_stream(pdf, ds.TPCH_LITE, stream, **self.ARGS)
+        cols = {name: col for born in births for name, col in born}
+        assert list(cols) == [f"zorder:sw@{t}" for t in (100, 200, 300, 400, 500)]
+        assert cols["zorder:sw@300"] is cols["zorder:sw@100"]
+        assert cols["zorder:sw@400"] is cols["zorder:sw@100"]
+        assert cols["zorder:sw@500"] is cols["zorder:sw@200"]
+        assert cols["zorder:sw@100"] is not cols["zorder:sw@200"]
+        assert len(calls["build_materialized"]) == 2
+        # Each shared column is the cost of the repeat's own layout.
+        gen = CandidateGenerator(pdf, ds.TPCH_LITE, **self.ARGS)
+        for c in (c for q in queries for c in gen.step(q)):
+            np.testing.assert_array_equal(cols[c.name], c.cost_vector(stream))

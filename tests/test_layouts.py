@@ -69,6 +69,17 @@ class TestFixedRange:
         half = pdf.iloc[: len(pdf) // 2]
         np.testing.assert_array_equal(lay.assign(half), lay.assign(pdf)[: len(half)])
 
+    def test_nan_does_not_poison_cuts(self):
+        """One NaN in the sort column leaves the cuts of the other values;
+        the NaN row lands in the top partition."""
+        v = np.r_[np.arange(1000.0), np.nan]
+        lay = build_fixed(pd.DataFrame({"x": v}), "x", 8)
+        want = build_fixed(pd.DataFrame({"x": v[:-1]}), "x", 8)
+        assert lay.cuts == want.cuts and len(lay.cuts) == 7
+        bids = lay.assign(pd.DataFrame({"x": v}))
+        assert np.bincount(bids).tolist() == [125] * 7 + [126]
+        assert bids[-1] == 7
+
 
 class TestHarvestCuts:
     def test_harvest_types(self, workload):
@@ -279,6 +290,20 @@ class TestZOrder:
         with pytest.raises(ValueError):
             build_zorder(pdf, workload.queries, 0)
 
+    def test_missing_categorical_values_take_the_top_rank(self):
+        """A None or NaN in the sample is not ranked; it, and a value the
+        sample lacks, take the top rank, as does the last value present."""
+        s = ["b", None, "a", np.nan, "c", "a", "b", None] * 10
+        sample = pd.DataFrame({"s": np.array(s, dtype=object)})
+        qs = [Query((InPredicate("s", frozenset({"a"})),))]
+        lay = build_zorder(sample, qs, 3, categorical_cols=("s",))
+        scale = (1 << BITS) // 3
+        assert lay.rank_bounds == ({"a": 0, "b": scale, "c": 2 * scale},)
+        batch = pd.DataFrame({"s": np.array(["a", "b", "c", None, np.nan, "zz"], dtype=object)})
+        z = lay.zvalues(batch)
+        assert z[0] < z[1] < z[2] and (z[3:] == z[2]).all()
+        assert (lay.assign(batch)[3:] == lay.assign(batch)[2]).all()
+
     def test_nan_does_not_poison_rank_bounds(self):
         sample = ds.build_pdf("telemetry", sf=0.005, seed=7)
         qs = generate_workload("telemetry", n_queries=200, n_segments=2, seed=7).queries
@@ -314,3 +339,80 @@ def test_sorted_quantiles_equal_numpy(n, distinct, is_float, seed):
         v = v * 0.37 + g.normal(scale=1e-3) * (distinct > 100)
     for qs in (np.linspace(0, 1, (1 << BITS) + 1)[1:-1], g.random(64), np.array([0.0, 0.5, 1.0])):
         assert np.array_equal(sorted_quantiles(v, qs), np.quantile(v, qs))
+
+
+# Values of the string columns in a build sample, missing ones included. A
+# batch also holds "zz", which no sample holds.
+S_VALUES = ["a", "b", "o'b", None]
+T_VALUES = ["c", "d", np.nan]
+# A domain in no sorted order, with a value no frame holds: codes must not
+# depend on the order or the extent of the categories.
+S_DTYPE = pd.CategoricalDtype(["zz", "o'b", "unused", "b", "a"])
+T_DTYPE = pd.CategoricalDtype(["d", "zz", "c"])
+
+frame_rows = st.tuples(
+    st.sampled_from([np.nan, -1.0, 0.0, 1.5, 2.0, 3.0]),
+    st.sampled_from(S_VALUES),
+    st.sampled_from(T_VALUES),
+)
+layout_queries = st.lists(
+    st.builds(
+        Query,
+        st.lists(
+            st.builds(RangePredicate, st.just("x"), st.sampled_from([-1.0, 0.0, 1.5]), st.sampled_from([2.0, 4.0]))
+            | st.builds(InPredicate, st.sampled_from(["s", "t"]),
+                        st.frozensets(st.sampled_from(["a", "b", "o'b", "c", "d", "zz"]), min_size=1, max_size=3)),
+            min_size=1, max_size=3,
+        ).map(tuple),
+    ),
+    max_size=6,
+)
+
+
+def _frame(rows) -> pd.DataFrame:
+    """Object-dtype strings: the form ``mapInPandas`` batches arrive in."""
+    return pd.DataFrame({
+        "x": np.array([r[0] for r in rows], dtype=np.float64),
+        "s": np.array([r[1] for r in rows], dtype=object),
+        "t": np.array([r[2] for r in rows], dtype=object),
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sample_rows=st.lists(frame_rows, min_size=1, max_size=30),
+    new_rows=st.lists(
+        st.tuples(st.sampled_from([np.nan, 0.5, 5.0]), st.sampled_from(["zz", None]), st.sampled_from(["zz", "c"])),
+        max_size=10,
+    ),
+    queries=layout_queries,
+    kind=st.sampled_from(["fixed", "qdtree", "zorder"]),
+    k=st.integers(1, 6),
+)
+def test_assign_is_the_same_on_object_and_categorical_frames(sample_rows, new_rows, queries, kind, k):
+    """A layout routes a Spark batch (object strings) and a builder frame
+    (``Categorical``) of the same rows alike, with missing values and values
+    absent from the build sample; pruning is sound on both forms. A layout
+    built on either form of the sample is the same."""
+    sample_obj = _frame(sample_rows)
+    batch_obj = _frame(sample_rows + new_rows)
+
+    def categorical(frame):
+        return frame.astype({"s": S_DTYPE, "t": T_DTYPE})
+
+    def build(sample):
+        if kind == "fixed":
+            return build_fixed(sample, "x", k)
+        if kind == "qdtree":
+            return build_qdtree(sample, queries, k, categorical_cols=("s", "t"))
+        return build_zorder(sample, queries, k, categorical_cols=("s", "t"))
+
+    lay = build(categorical(sample_obj))
+    bids = lay.assign(batch_obj)
+    assert ((bids >= 0) & (bids < lay.n_partitions)).all()
+    np.testing.assert_array_equal(lay.assign(categorical(batch_obj)), bids)
+    np.testing.assert_array_equal(build(sample_obj).assign(batch_obj), bids)
+    for frame in (batch_obj, categorical(batch_obj)):
+        m = build_materialized(frame, bids, name="h", categorical_cols=("s", "t"))
+        for q in queries:
+            assert not q.mask(frame)[~m.relevant_partitions(q)[bids]].any(), q

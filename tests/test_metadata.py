@@ -42,8 +42,11 @@ class TestBuildMaterialized:
     def test_distinct_correct(self, pdf, mat):
         g = np.random.default_rng(0)
         bids = g.integers(0, 16, len(pdf))
-        sub = pdf[bids == 3]
-        assert mat.distinct["c_mktsegment"][3] == frozenset(sub["c_mktsegment"])
+        values, presence = mat.distinct["c_mktsegment"]
+        assert presence.shape == (16, len(values))
+        for b in range(16):
+            sub = pdf[bids == b]
+            assert set(values[presence[b]]) == set(sub["c_mktsegment"]), b
 
     def test_empty_partition(self, pdf):
         bids = np.zeros(len(pdf), dtype=int)
@@ -124,8 +127,9 @@ class TestPruningSoundness:
         assert not q.mask(pdf)[~keep[bids]].any()
 
 
-def reference_keep(m, q: Query) -> np.ndarray:
-    """The per-predicate loop the batched kernel replaced."""
+def reference_keep(m, q: Query, pdf, bids, categorical_cols) -> np.ndarray:
+    """The per-predicate loop the batched kernel replaced. Each partition's
+    distinct values are taken from the frame rows with its BID."""
     keep = np.ones(m.n_partitions, dtype=bool)
     for p in q.predicates:
         if isinstance(p, RangePredicate):
@@ -136,17 +140,17 @@ def reference_keep(m, q: Query) -> np.ndarray:
             if p.hi is not None:
                 keep &= m.mins[p.col] <= p.hi
         else:
-            sets = m.distinct.get(p.col)
-            if sets is None:
+            if p.col not in categorical_cols:
                 continue
+            sets = [set(pdf[p.col][bids == b]) for b in range(m.n_partitions)]
             keep &= np.array([not p.values.isdisjoint(s) for s in sets], dtype=bool)
     return keep
 
 
-def reference_cost(m, q: Query) -> float:
+def reference_cost(m, q: Query, *frame) -> float:
     if m.n_rows == 0:
         return 0.0
-    return float(m.rows[reference_keep(m, q)].sum() / m.n_rows)
+    return float(m.rows[reference_keep(m, q, *frame)].sum() / m.n_rows)
 
 
 BOUNDS = [-2.0, -1.0, 0.0, 1.5, 2.0, 2.5, 4.0]
@@ -179,16 +183,18 @@ queries_st = st.lists(
             st.sampled_from([np.nan, -1.0, 0.0, 1.5, 2.0, 3.0]),
             st.sampled_from([0.0, 1.0]),
             st.sampled_from(["a", "b", "o'b"]),
-            st.sampled_from(["a", "c"]),
+            st.sampled_from(["a", "c", None]),
             st.integers(0, 5),
         ),
         max_size=30,
     ),
     queries=queries_st,
+    categorical=st.booleans(),
 )
-def test_cost_vector_equals_per_query_reference(rows, queries):
+def test_cost_vector_equals_per_query_reference(rows, queries, categorical):
     """Batched costing equals the per-predicate loop exactly, on random frames
-    with NaN, duplicate rows and empty BIDs (and no rows at all), for queries
+    with NaN, missing strings, duplicate rows and empty BIDs (and no rows at
+    all), with string columns as object or ``Categorical`` dtype, for queries
     with repeated predicates on one column, absent IN values, columns without
     stats and no predicates."""
     pdf = pd.DataFrame(
@@ -199,14 +205,17 @@ def test_cost_vector_equals_per_query_reference(rows, queries):
             "t": np.array([r[3] for r in rows], dtype=object),
         }
     )
+    if categorical:
+        pdf = pdf.astype({"s": "category", "t": "category"})
     bids = np.array([r[4] for r in rows], dtype=np.int64)
     m = build_materialized(pdf, bids, name="h", categorical_cols=("s", "t"), numeric_cols=("x",))
+    frame = (pdf, bids, ("s", "t"))
     stream = compile_queries(queries)
-    want = np.array([reference_cost(m, q) for q in queries], dtype=float)
+    want = np.array([reference_cost(m, q, *frame) for q in queries], dtype=float)
     assert np.array_equal(m.cost_vector(stream), want)
     keep = m._keep(stream)
     for i, q in enumerate(queries):
-        assert np.array_equal(keep[i], reference_keep(m, q))
+        assert np.array_equal(keep[i], reference_keep(m, q, *frame))
         assert m.relevant_bids(q) == np.flatnonzero(keep[i]).tolist()
         assert m.cost(q) == want[i]
 
