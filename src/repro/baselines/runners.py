@@ -36,7 +36,7 @@ from repro.core.oreo import OreoResult, default_layout, settle
 from repro.layouts.metadata import MaterializedLayout
 from repro.workload.datasets import DatasetSpec
 from repro.workload.generator import Workload
-from repro.workload.queries import Query, compile_queries
+from repro.workload.queries import Query
 
 # Regret keeps savings for at most this many recent candidates: older window
 # layouts are superseded by newer ones for the same workload.
@@ -57,7 +57,7 @@ def run_static(
         pdf, spec, data_sample(pdf, seed), workload.queries, k,
         layout_kind=layout_kind, name=f"static:{layout_kind}", seed=seed,
     )
-    paid = mat.cost_vector(compile_queries(workload.queries))
+    paid = mat.cost_vector(workload.compiled)
     return OreoResult(
         method=f"static:{layout_kind}",
         query_costs=paid,
@@ -71,7 +71,7 @@ def run_greedy(pdf, spec, workload, *, alpha: float = 80.0, k: int,
                layout_kind: str = "qdtree", window: int = 200,
                regen_every: int = 100, seed: int = 0) -> OreoResult:
     """Greedy baseline: always chase the better window layout (§VI-A3)."""
-    stream = compile_queries(workload.queries)
+    stream = workload.compiled
     births = candidate_stream(
         pdf, spec, stream, k=k, layout_kind=layout_kind,
         window=window, regen_every=regen_every, seed=seed,
@@ -97,7 +97,7 @@ def run_regret(pdf, spec, workload, *, alpha: float = 80.0, k: int,
                layout_kind: str = "qdtree", window: int = 200,
                regen_every: int = 100, seed: int = 0) -> OreoResult:
     """Regret baseline: switch when retroactive savings exceed α (§VI-A3)."""
-    stream = compile_queries(workload.queries)
+    stream = workload.compiled
     births = candidate_stream(
         pdf, spec, stream, k=k, layout_kind=layout_kind,
         window=window, regen_every=regen_every, seed=seed,
@@ -168,7 +168,7 @@ def run_mts_optimal(
     layouts = layouts or per_template_layouts(
         pdf, spec, workload, k, layout_kind=layout_kind, seed=seed
     )
-    stream = compile_queries(workload.queries)
+    stream = workload.compiled
     cols = {m.name: m.cost_vector(stream) for m in layouts.values()}
     reorg = Reorganizer(sorted(cols), alpha=alpha, gamma=gamma, seed=seed)
     initial = reorg.current
@@ -196,7 +196,7 @@ def run_offline_optimal(
     )
     names = sorted(m.name for m in layouts.values())
     idx = {n: i for i, n in enumerate(names)}
-    stream = compile_queries(workload.queries)
+    stream = workload.compiled
     cols = {m.name: m.cost_vector(stream) for m in layouts.values()}
     cost_mat = np.stack([cols[n] for n in names], axis=1)
     seg_best = [

@@ -11,6 +11,9 @@ that set is one computed value, the *candidate stream*:
   reorganization would produce in Parquet footers). A Z-order candidate is
   determined by its column tuple, so each distinct tuple is built once; a
   later candidate with the same tuple is the first one under its own name.
+  The Z-order builds share one :class:`~repro.layouts.zorder.ColumnRanks`:
+  each column is ranked on the sample and on the frame once, and a build
+  interleaves those ranks into its cuts and its frame BIDs.
 - :func:`candidate_stream` — runs a generator over a whole query stream and
   lists, for each position ``t``, the candidates born there as ``(name,
   cost column over the whole stream)``; a repeated Z-order candidate shares
@@ -49,9 +52,9 @@ import pandas as pd
 from repro.core.rtbs import TimeBiasedReservoir
 from repro.layouts.metadata import MaterializedLayout, build_materialized
 from repro.layouts.qdtree import build_qdtree
-from repro.layouts.zorder import build_zorder, top_queried_columns
+from repro.layouts.zorder import ColumnRanks, build_zorder, top_queried_columns
 from repro.workload.datasets import DatasetSpec
-from repro.workload.queries import CompiledQueries, Query, compile_queries
+from repro.workload.queries import CompiledQueries, Query
 
 # Rows of the data sample layouts are built on (paper: 0.1%–1% of the data).
 BUILD_SAMPLE_ROWS = 4_000
@@ -142,22 +145,31 @@ class CandidateGenerator:
         # every later candidate with that tuple, the first one's name.
         self._zorder_built: dict[tuple[str, ...], MaterializedLayout] = {}
         self.repeat_of: dict[str, str] = {}
+        # Each column's rank bound and its sample and frame ranks, computed
+        # by the first Z-order build that orders on the column.
+        self._ranks = ColumnRanks(self.sample, spec.categorical_cols, pdf)
 
     def _build(self, queries: list[Query], tag: str) -> MaterializedLayout:
         name = f"{self.layout_kind}:{tag}@{self.t}"
-        if self.layout_kind == "zorder":
-            # The window enters a Z-order build only through this tuple.
-            cols = top_queried_columns(queries)
-            first = self._zorder_built.get(cols)
-            if first is not None:
-                self.repeat_of[name] = first.name
-                return replace(first, name=name, layout=replace(first.layout, name=name))
-        cand = build_layout(
-            self.pdf, self.spec, self.sample, queries, self.k,
-            layout_kind=self.layout_kind, name=name, seed=self._seed,
+        if self.layout_kind == "qdtree":
+            return build_layout(
+                self.pdf, self.spec, self.sample, queries, self.k,
+                layout_kind="qdtree", name=name, seed=self._seed,
+            )
+        # The window enters a Z-order build only through this tuple.
+        cols = top_queried_columns(queries)
+        first = self._zorder_built.get(cols)
+        if first is not None:
+            self.repeat_of[name] = first.name
+            return replace(first, name=name, layout=replace(first.layout, name=name))
+        lay = build_zorder(
+            self.sample, queries, self.k,
+            categorical_cols=self.spec.categorical_cols, name=name, ranks=self._ranks,
         )
-        if self.layout_kind == "zorder":
-            self._zorder_built[cols] = cand
+        cand = self._zorder_built[cols] = build_materialized(
+            self.pdf, self._ranks.frame_bids(lay), name=name,
+            categorical_cols=self.spec.categorical_cols, layout=lay,
+        )
         return cand
 
     def step(self, q: Query) -> list[MaterializedLayout]:
@@ -251,7 +263,7 @@ class LayoutManager:
         pdf: pd.DataFrame,
         spec: DatasetSpec,
         initial: MaterializedLayout,
-        queries: Sequence[Query],
+        stream: CompiledQueries,
         *,
         k: int,
         layout_kind: str = "qdtree",
@@ -269,7 +281,6 @@ class LayoutManager:
             raise ValueError(f"max_states must be >= 1, got {max_states}")
         self.epsilon = epsilon
         self.max_states = max_states
-        stream = compile_queries(queries)
         self.births = candidate_stream(
             pdf, spec, stream, k=k, layout_kind=layout_kind, strategy=strategy,
             window=window, regen_every=regen_every, seed=seed,

@@ -136,7 +136,7 @@ def run_oreo(
         pdf,
         spec,
         init,
-        workload.queries,
+        workload.compiled,
         k=k,
         layout_kind=layout_kind,
         strategy=strategy,

@@ -12,13 +12,15 @@ underlying dataset" (§VI-A1). This module is that machinery:
   whether category ``v`` occurs in partition ``p``.
   ``cost_vector`` costs a whole compiled query stream
   (:func:`~repro.workload.queries.compile_queries`) in one pass: a (Q × P)
-  keep mask from broadcast comparisons against the min/max arrays and,
-  per categorical column, ``mask @ presence.T`` after one
-  ``get_indexer`` maps the stream's vocabulary onto the categories; then
-  ``keep @ rows / n_rows``, the fraction of rows in partitions the metadata
-  cannot prove irrelevant. This is the service cost ``c(s, q)`` of the
-  D-UMTS formulation. ``cost``, ``relevant_partitions`` and
-  ``relevant_bids`` are the one-query calls through the same kernel.
+  keep mask, starting all true, narrowed predicate by predicate on only the
+  rows of the queries that carry it (``keep[rows] &= …``): broadcast
+  comparisons against the min/max arrays and, per categorical column,
+  ``mask @ presence.T`` after one ``get_indexer`` maps the stream's
+  vocabulary onto the categories; then ``keep @ rows / n_rows``, the
+  fraction of rows in partitions the metadata cannot prove irrelevant.
+  This is the service cost ``c(s, q)`` of the D-UMTS formulation.
+  ``cost``, ``relevant_partitions`` and ``relevant_bids`` are the
+  one-query calls through the same kernel.
 - :func:`build_materialized` — compute that metadata from a pandas frame
   plus a BID assignment, the same stats a Parquet writer would put in
   file footers. Categorical columns are read as dictionary codes through
@@ -68,10 +70,9 @@ class MaterializedLayout:
         without stats never prune.
         """
         keep = np.ones((len(stream), self.n_partitions), dtype=bool)
-        for col, lo in stream.lo.items():
+        for col, (rows, lo, hi) in stream.ranges.items():
             if col in self.mins:
-                keep &= self.maxs[col] >= lo[:, None]
-                keep &= self.mins[col] <= stream.hi[col][:, None]
+                keep[rows] &= (self.maxs[col] >= lo[:, None]) & (self.mins[col] <= hi[:, None])
         for col, (vocab, slots) in stream.ins.items():
             if col not in self.distinct:
                 continue
@@ -82,8 +83,8 @@ class MaterializedLayout:
             hit = idx >= 0
             pres = np.zeros((self.n_partitions, len(vocab)), dtype=np.float32)
             pres[:, hit] = presence[:, idx[hit]]
-            for mask, has in slots:
-                keep &= (mask @ pres.T > 0) | ~has[:, None]
+            for rows, mask in slots:
+                keep[rows] &= mask @ pres.T > 0
         return keep
 
     def _cost(self, keep: np.ndarray) -> np.ndarray:

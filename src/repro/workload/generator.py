@@ -11,10 +11,11 @@ lengths summing to ``n_queries``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.workload.queries import Query
+from repro.workload.queries import CompiledQueries, Query, compile_queries
 from repro.workload.templates import TEMPLATES, Template
 
 
@@ -30,6 +31,11 @@ class Workload:
 
     def __len__(self) -> int:
         return len(self.queries)
+
+    @cached_property
+    def compiled(self) -> CompiledQueries:
+        """The query stream compiled once, for every method run on it."""
+        return compile_queries(self.queries)
 
     def segment_of(self, qidx: int) -> int:
         """Segment index containing query ``qidx``."""

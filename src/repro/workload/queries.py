@@ -16,7 +16,9 @@ WHERE clause fragment for Spark SQL and the DuckDB oracle.
 
 :func:`compile_queries` turns a query stream into arrays once, so that the
 metadata cost model can cost a whole stream against a layout in one pass
-(:meth:`repro.layouts.metadata.MaterializedLayout.cost_vector`).
+(:meth:`repro.layouts.metadata.MaterializedLayout.cost_vector`). Each
+predicate column keeps arrays only for the queries that filter it, with
+their stream positions, so costing touches only those queries.
 """
 from __future__ import annotations
 
@@ -114,23 +116,24 @@ class Query:
 
 @dataclass(frozen=True)
 class CompiledQueries:
-    """A query stream as arrays, one row per query.
+    """A query stream as arrays, kept only for the queries that carry each
+    predicate.
 
-    - ``lo``/``hi``: per range-filtered column, the query's combined bounds,
-      ``-inf``/``inf`` where it sets none. Repeated range predicates on one
-      column combine as max(lo) / min(hi).
+    - ``ranges``: per range-filtered column, ``(rows, lo, hi)``: the
+      ascending stream positions of the queries that filter the column, and
+      their combined bounds (``-inf``/``inf`` where a query sets none).
+      Repeated range predicates on one column combine as max(lo) / min(hi).
     - ``ins``: per IN-filtered column, the sorted vocabulary of the values
-      the stream names, and one ``(mask, has)`` pair per IN-predicate slot:
-      ``mask`` (Q × V) is 1 at the values of a query's k-th IN predicate on
-      the column, and ``has`` (Q,) says whether the query has one. Masks are
+      the stream names, and one ``(rows, mask)`` pair per IN-predicate slot:
+      ``rows`` are the positions of the queries with a k-th IN predicate on
+      the column, and ``mask`` (len(rows) × V) is 1 at its values. Masks are
       float32 so that overlap counts are an exact BLAS product. Two IN
       predicates on one column stay two overlap tests; their value sets are
       not intersected.
     """
 
     queries: tuple[Query, ...]
-    lo: dict[str, np.ndarray]
-    hi: dict[str, np.ndarray]
+    ranges: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     ins: dict[str, tuple[tuple[str, ...], tuple[tuple[np.ndarray, np.ndarray], ...]]]
 
     def __len__(self) -> int:
@@ -140,21 +143,17 @@ class CompiledQueries:
 def compile_queries(queries) -> CompiledQueries:
     """Compile ``queries`` (any iterable of :class:`Query`) into arrays."""
     queries = tuple(queries)
-    n = len(queries)
-    lo: dict[str, list[float]] = {}
-    hi: dict[str, list[float]] = {}
+    bounds: dict[str, dict[int, list[float]]] = {}  # col -> {i: [lo, hi]}
     slots: dict[str, list[dict[int, frozenset]]] = {}  # col -> k -> {i: values}
     for i, q in enumerate(queries):
         seen: Counter = Counter()
         for p in q.predicates:
             if isinstance(p, RangePredicate):
-                if p.col not in lo:
-                    lo[p.col] = [-np.inf] * n
-                    hi[p.col] = [np.inf] * n
+                b = bounds.setdefault(p.col, {}).setdefault(i, [-np.inf, np.inf])
                 if p.lo is not None:
-                    lo[p.col][i] = max(lo[p.col][i], p.lo)
+                    b[0] = max(b[0], p.lo)
                 if p.hi is not None:
-                    hi[p.col][i] = min(hi[p.col][i], p.hi)
+                    b[1] = min(b[1], p.hi)
             elif isinstance(p, InPredicate):
                 col_slots = slots.setdefault(p.col, [])
                 if seen[p.col] == len(col_slots):
@@ -164,23 +163,20 @@ def compile_queries(queries) -> CompiledQueries:
             else:
                 raise TypeError(f"unknown predicate type {type(p)}")
 
+    ranges = {}
+    for col, by_query in bounds.items():
+        lo_hi = np.array(list(by_query.values()), dtype=np.float64)
+        ranges[col] = (np.fromiter(by_query, dtype=np.intp), lo_hi[:, 0], lo_hi[:, 1])
     ins = {}
     for col, col_slots in slots.items():
         vocab = tuple(sorted(set().union(*(v for s in col_slots for v in s.values()))))
         index = {v: j for j, v in enumerate(vocab)}
         compiled = []
         for by_query in col_slots:
-            rows = [i for i, values in by_query.items() for _ in values]
+            at = [j for j, values in enumerate(by_query.values()) for _ in values]
             codes = [index[v] for values in by_query.values() for v in values]
-            mask = np.zeros((n, len(vocab)), dtype=np.float32)
-            mask[rows, codes] = 1
-            has = np.zeros(n, dtype=bool)
-            has[list(by_query)] = True
-            compiled.append((mask, has))
+            mask = np.zeros((len(by_query), len(vocab)), dtype=np.float32)
+            mask[at, codes] = 1
+            compiled.append((np.fromiter(by_query, dtype=np.intp), mask))
         ins[col] = (vocab, tuple(compiled))
-    return CompiledQueries(
-        queries,
-        {c: np.array(v, dtype=np.float64) for c, v in lo.items()},
-        {c: np.array(v, dtype=np.float64) for c, v in hi.items()},
-        ins,
-    )
+    return CompiledQueries(queries, ranges, ins)

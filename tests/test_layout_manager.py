@@ -10,6 +10,7 @@ from repro.core.layout_manager import (
     CandidateGenerator, LayoutManager, StateEvent, candidate_stream, materialize,
 )
 from repro.core.oreo import default_layout, run_oreo
+from repro.layouts.metadata import build_materialized
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
 from repro.workload.queries import InPredicate, Query, RangePredicate, compile_queries
@@ -96,7 +97,7 @@ class TestLayoutManager:
             max_states=5, seed=0,
         )
         args.update(kw)
-        return LayoutManager(pdf, ds.TPCH_LITE, init, workload.queries, **args), init
+        return LayoutManager(pdf, ds.TPCH_LITE, init, workload.compiled, **args), init
 
     def test_distance_metric(self):
         a, b = np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.5, 0.5])
@@ -335,3 +336,65 @@ class TestZOrderRepeats:
         gen = CandidateGenerator(pdf, ds.TPCH_LITE, **self.ARGS)
         for c in (c for q in queries for c in gen.step(q)):
             np.testing.assert_array_equal(cols[c.name], c.cost_vector(stream))
+
+
+def _telemetry_frame(odd: bool):
+    """A telemetry frame; ``odd`` adds NaN to numeric columns (the integer
+    ones as float), ``None`` to the string columns (as object strings), and
+    60 collectors that occur once, so the build sample lacks some."""
+    frame = ds.build_pdf("telemetry", sf=0.01, seed=3)
+    if not odd:
+        return frame
+    cats = ds.TELEMETRY.categorical_cols
+    frame = frame.astype({c: object for c in cats} | {c: np.float64 for c in ds.TELEMETRY.numeric_cols})
+    for i, c in enumerate(ds.TELEMETRY.numeric_cols):
+        frame.loc[i::7, c] = np.nan
+    for i, c in enumerate(cats):
+        frame.loc[i::11, c] = None
+    frame.loc[:59, "collector"] = [f"once{i}" for i in range(60)]
+    return frame
+
+
+def _same_metadata(a, b) -> bool:
+    return (
+        (a.name, a.n_partitions, a.n_rows) == (b.name, b.n_partitions, b.n_rows)
+        and np.array_equal(a.rows, b.rows)
+        and a.mins.keys() == b.mins.keys() == a.maxs.keys() == b.maxs.keys()
+        and all(np.array_equal(a.mins[c], b.mins[c]) and np.array_equal(a.maxs[c], b.maxs[c]) for c in a.mins)
+        and a.distinct.keys() == b.distinct.keys()
+        and all(
+            a.distinct[c][0].equals(b.distinct[c][0]) and np.array_equal(a.distinct[c][1], b.distinct[c][1])
+            for c in a.distinct
+        )
+    )
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_zorder_candidates_equal_a_build_through_assign(odd, monkeypatch):
+    """A generator ranks each column once and reuses the ranks across
+    builds; every Z-order candidate it builds has the BIDs and metadata that
+    ``layout.assign`` on the frame gives."""
+    frame = _telemetry_frame(odd)
+    bids = {}
+
+    def recording(pdf, b, **kw):
+        bids[kw["name"]] = b
+        return build_materialized(pdf, b, **kw)
+
+    monkeypatch.setattr(layout_manager, "build_materialized", recording)
+    gen = CandidateGenerator(
+        frame, ds.TELEMETRY, k=24, layout_kind="zorder", strategy="sw+rs", window=200, regen_every=100, seed=0
+    )
+    queries = generate_workload("telemetry", n_queries=2000, n_segments=10, seed=5).queries
+    built = [c for q in queries for c in gen.step(q) if c.name not in gen.repeat_of]
+    assert len(bids) == len(built) >= 10
+    assert any("collector" in c.layout.cols for c in built)
+    if odd:
+        assert set(frame["collector"].dropna()) - set(gen.sample["collector"].dropna())
+    for c in built:
+        want = c.layout.assign(frame)
+        np.testing.assert_array_equal(bids[c.name], want)
+        fresh = build_materialized(
+            frame, want, name=c.name, categorical_cols=ds.TELEMETRY.categorical_cols, layout=c.layout
+        )
+        assert _same_metadata(c, fresh), c.name

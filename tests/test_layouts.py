@@ -230,6 +230,52 @@ def test_qdtree_golden_assignment(name, case):
     assert (lay.n_partitions, digest) == GOLDEN_TREES[name, case]
 
 
+def _sha1(a) -> str:
+    return hashlib.sha1(np.asarray(a, dtype=np.int64).tobytes()).hexdigest()
+
+
+# (dataset, case) -> (n_partitions, SHA-1 of z_cuts, SHA-1 of the BIDs
+# assigned to the frame). Any change to the rank bounds, the ranking of
+# numeric or categorical values, the bit interleave or the cut positions
+# shows up here.
+GOLDEN_ZORDERS = {
+    ("tpch_lite", "window-k1"): (1, "da39a3ee5e6b4b0d3255bfef95601890afd80709", "a8a3677bbd60c531716a0df55b7d2d63d32b0255"),
+    ("tpch_lite", "window-k8"): (8, "41503f7a4573ebc111a335d5f10d5c9fc3dc3aed", "69c4ccf89dbe71bbb0fdee926c773f4e71275d64"),
+    ("tpch_lite", "window-k24"): (24, "3feeb91b0de1668c82db90b72abbadb43f3d6576", "ead9820f793897f33f26aae48a8122d6fcd3a456"),
+    ("tpch_lite", "static-k1"): (1, "da39a3ee5e6b4b0d3255bfef95601890afd80709", "a8a3677bbd60c531716a0df55b7d2d63d32b0255"),
+    ("tpch_lite", "static-k8"): (8, "2ffb7d6b2a9cbf75f923b41f1330fe394f9d2a30", "0cd0c1cc736548903f57e94f94518f7a8f7ec51d"),
+    ("tpch_lite", "static-k24"): (24, "d1b26a323fdfaf9bfd74e2210292da4e96887c1b", "70ca1c343a9472c0831cf69bb71df622498af5fd"),
+    ("tpcds_lite", "window-k1"): (1, "da39a3ee5e6b4b0d3255bfef95601890afd80709", "a8a3677bbd60c531716a0df55b7d2d63d32b0255"),
+    ("tpcds_lite", "window-k8"): (8, "682e1890c171cf977f8d14a8917148ca324e82f1", "5029dd6869cbbbcf20015345cc6b54fc6fd45ec7"),
+    ("tpcds_lite", "window-k24"): (24, "181bd8b46ef581bd231b539eb57d4197637c2063", "56e36b0f3730dde43cfcd4db76dd6f2eca08073e"),
+    ("tpcds_lite", "static-k1"): (1, "da39a3ee5e6b4b0d3255bfef95601890afd80709", "a8a3677bbd60c531716a0df55b7d2d63d32b0255"),
+    ("tpcds_lite", "static-k8"): (8, "5cc8f3ee32d42eac20edf0cd114e77127d311689", "220ab7623b135cb8ba71a5c147993276961ca758"),
+    ("tpcds_lite", "static-k24"): (24, "2486a8657b7d8c386842188591bc301a0367d763", "9c70e346fba20c5979623c57b95fc12bcaa56d08"),
+    ("telemetry", "window-k1"): (1, "da39a3ee5e6b4b0d3255bfef95601890afd80709", "a8a3677bbd60c531716a0df55b7d2d63d32b0255"),
+    ("telemetry", "window-k8"): (8, "1d9797d7e4993239ffc85ecc9f18ad477a75b496", "c07e36f001bf7456ef72580f057101cdf34873bd"),
+    ("telemetry", "window-k24"): (24, "b4852bb684a2b4f06a9322b9a72bfd6dc84dc42e", "decfda530739114fb6f16265602dab821b971e34"),
+    ("telemetry", "static-k1"): (1, "da39a3ee5e6b4b0d3255bfef95601890afd80709", "a8a3677bbd60c531716a0df55b7d2d63d32b0255"),
+    ("telemetry", "static-k8"): (8, "21f4116238e377831644d2b3bcf0e78888e0ed9a", "e78dc247e371767aeed65da902d41d82e0130bb3"),
+    ("telemetry", "static-k24"): (24, "a21e7357e2464230694af6a5a26ac6269db38263", "18de03cb46a517b9dc6c77715f44cfcd25ab5c31"),
+}
+# case -> (query slice, k). The window is the layout manager's 200 queries;
+# the static case orders on the whole stream's top three columns.
+ZORDER_CASES = {
+    f"{w}-k{k}": (window, k)
+    for w, window in (("window", slice(1400, 1600)), ("static", slice(None)))
+    for k in (1, 8, 24)
+}
+
+
+@pytest.mark.parametrize("name,case", sorted(GOLDEN_ZORDERS))
+def test_zorder_golden_assignment(name, case):
+    frame, sample, queries = _golden_inputs(name)
+    window, k = ZORDER_CASES[case]
+    lay = build_zorder(sample, queries[window], k, categorical_cols=ds.SPECS[name].categorical_cols)
+    got = (lay.n_partitions, _sha1(lay.z_cuts), _sha1(lay.assign(frame)))
+    assert got == GOLDEN_ZORDERS[name, case]
+
+
 class TestZOrder:
     def test_top_queried_columns(self):
         qs = [
@@ -300,9 +346,25 @@ class TestZOrder:
         scale = (1 << BITS) // 3
         assert lay.rank_bounds == ({"a": 0, "b": scale, "c": 2 * scale},)
         batch = pd.DataFrame({"s": np.array(["a", "b", "c", None, np.nan, "zz"], dtype=object)})
-        z = lay.zvalues(batch)
-        assert z[0] < z[1] < z[2] and (z[3:] == z[2]).all()
+        r = lay.ranks(batch)[0]
+        assert r[0] < r[1] < r[2] and (r[3:] == r[2]).all()
         assert (lay.assign(batch)[3:] == lay.assign(batch)[2]).all()
+
+    def test_more_categorical_values_than_ranks(self):
+        """2000 values share the 2^BITS ranks in value order, none wraps past
+        the top rank, and a missing or unseen value takes the top rank."""
+        vals = [f"v{i:04d}" for i in range(2000)]
+        sample = pd.DataFrame({"s": pd.Categorical(vals[::-1])})
+        qs = [Query((InPredicate("s", frozenset({"v0001"})),))]
+        lay = build_zorder(sample, qs, 8, categorical_cols=("s",))
+        batch = pd.DataFrame({"s": np.array(vals + [None, "zz"], dtype=object)})
+        # One column: the Morton code is the rank, so BIDs follow value order.
+        bids = lay.assign(batch)
+        assert (np.diff(bids[:2000]) >= 0).all() and bids[0] < bids[1999]
+        r = lay.ranks(batch)[0]
+        assert (np.diff(r[:2000]) >= 0).all() and r[1999] < 1 << BITS
+        assert r[1999] > r[1000] > r[0] == 0
+        assert r[2000] == r[2001] == r[1999]
 
     def test_nan_does_not_poison_rank_bounds(self):
         sample = ds.build_pdf("telemetry", sf=0.005, seed=7)
@@ -319,6 +381,29 @@ class TestZOrder:
         bids = lay.assign(sample)
         assert ((bids >= 0) & (bids < lay.n_partitions)).all()
         assert lay.n_partitions > 1
+
+
+def _bit_loop_interleave(codes, bits):
+    """The reference Morton code: bit b of column j goes to position b * n + j."""
+    z = np.zeros(len(codes[0]), dtype=np.int64)
+    for b in range(bits):
+        for j, c in enumerate(codes):
+            z |= ((c >> b) & 1).astype(np.int64) << (b * len(codes) + j)
+    return z
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_cols=st.integers(1, 3),
+    bits=st.sampled_from([1, 2, 4, BITS]),
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interleave_equals_the_bit_loop(n_cols, bits, n, seed):
+    g = np.random.default_rng(seed)
+    codes = [g.integers(0, 1 << bits, n) for _ in range(n_cols)]
+    codes[0][0] = (1 << bits) - 1  # the top code sets every bit
+    np.testing.assert_array_equal(_interleave(codes, bits), _bit_loop_interleave(codes, bits))
 
 
 @settings(max_examples=150, deadline=None)

@@ -185,30 +185,43 @@ queries_st = st.lists(
             st.sampled_from(["a", "b", "o'b"]),
             st.sampled_from(["a", "c", None]),
             st.integers(0, 5),
+            st.sampled_from([np.nan, 0.0, 1.0, 2.0]),
         ),
         max_size=30,
     ),
     queries=queries_st,
+    every=st.none() | range_preds | in_preds,
+    one=st.none() | st.tuples(
+        st.integers(0, 7),
+        st.builds(RangePredicate, st.just("v"), st.sampled_from([0.0, 1.0]), st.none() | st.sampled_from([0.5, 2.0])),
+    ),
     categorical=st.booleans(),
 )
-def test_cost_vector_equals_per_query_reference(rows, queries, categorical):
+def test_cost_vector_equals_per_query_reference(rows, queries, every, one, categorical):
     """Batched costing equals the per-predicate loop exactly, on random frames
     with NaN, missing strings, duplicate rows and empty BIDs (and no rows at
     all), with string columns as object or ``Categorical`` dtype, for queries
     with repeated predicates on one column, absent IN values, columns without
-    stats and no predicates."""
+    stats and no predicates; ``every`` is a predicate every query carries,
+    and ``one`` one on column ``v`` that exactly one query carries."""
+    if every is not None:
+        queries = [Query(q.predicates + (every,)) for q in queries]
+    if one is not None and queries:
+        i = one[0] % len(queries)
+        queries[i] = Query(queries[i].predicates + (one[1],))
     pdf = pd.DataFrame(
         {
             "x": np.array([r[0] for r in rows], dtype=np.float64),
             "y": np.array([r[1] for r in rows], dtype=np.float64),
             "s": np.array([r[2] for r in rows], dtype=object),
             "t": np.array([r[3] for r in rows], dtype=object),
+            "v": np.array([r[5] for r in rows], dtype=np.float64),
         }
     )
     if categorical:
         pdf = pdf.astype({"s": "category", "t": "category"})
     bids = np.array([r[4] for r in rows], dtype=np.int64)
-    m = build_materialized(pdf, bids, name="h", categorical_cols=("s", "t"), numeric_cols=("x",))
+    m = build_materialized(pdf, bids, name="h", categorical_cols=("s", "t"), numeric_cols=("x", "v"))
     frame = (pdf, bids, ("s", "t"))
     stream = compile_queries(queries)
     want = np.array([reference_cost(m, q, *frame) for q in queries], dtype=float)
