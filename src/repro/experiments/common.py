@@ -1,7 +1,6 @@
 """Shared experiment configuration and helpers."""
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +20,9 @@ N_SEGMENTS = 20  # paper: 20 template segments
 MTS_SEEDS = (0, 1, 2)  # paper: average of three runs for MTS-based methods
 
 # Stream lengths: the headline experiments use the paper's 30K queries; the
-# parameter sweeps use 12K to keep the full grid tractable. REPRO_FAST=1
-# shrinks everything for smoke runs.
-FAST = os.environ.get("REPRO_FAST", "0") == "1"
-N_QUERIES_HEADLINE = 3_000 if FAST else 30_000
-N_QUERIES_SWEEP = 2_000 if FAST else 12_000
+# parameter sweeps use 12K to keep the full grid tractable.
+N_QUERIES_HEADLINE = 30_000
+N_QUERIES_SWEEP = 12_000
 DATASETS = ("tpch_lite", "tpcds_lite", "telemetry")
 
 
@@ -33,27 +30,25 @@ DATASETS = ("tpch_lite", "tpcds_lite", "telemetry")
 class SimSetup:
     """One dataset + workload pair used across an experiment."""
 
-    name: str
     pdf: object
     spec: ds.DatasetSpec
     workload: Workload
 
 
-def make_setup(name: str, *, n_queries: int, data_seed: int = 1, wl_seed: int = 2) -> SimSetup:
-    pdf = ds.build_pdf(name, sf=SIM_SF, seed=data_seed)
-    wl = generate_workload(
-        name, n_queries=n_queries, n_segments=N_SEGMENTS, seed=wl_seed
-    )
-    return SimSetup(name=name, pdf=pdf, spec=ds.SPECS[name], workload=wl)
+def make_setup(name: str, *, n_queries: int) -> SimSetup:
+    """Dataset ``name`` (data seed 1) and its stream (workload seed 2)."""
+    pdf = ds.build_pdf(name, sf=SIM_SF, seed=1)
+    wl = generate_workload(name, n_queries=n_queries, n_segments=N_SEGMENTS, seed=2)
+    return SimSetup(pdf=pdf, spec=ds.SPECS[name], workload=wl)
 
 
-def mean_over_seeds(fn, seeds=None) -> dict:
+def mean_over_seeds(fn) -> dict:
     """Run ``fn(seed)`` -> OreoResult per seed; average the scalar outputs.
 
-    ``seeds`` defaults to the module-level ``MTS_SEEDS`` at call time so
-    tests can shrink the seed set by monkeypatching.
+    The seeds are the module-level ``MTS_SEEDS``, read at call time so tests
+    can shrink the seed set by monkeypatching.
     """
-    return _mean([fn(s) for s in (MTS_SEEDS if seeds is None else seeds)])
+    return mean_costs([fn(s) for s in MTS_SEEDS])
 
 
 def mean_over_seeds_each(fn, values) -> dict:
@@ -66,10 +61,11 @@ def mean_over_seeds_each(fn, values) -> dict:
     :func:`mean_over_seeds`.
     """
     runs = {(v, s): fn(v, s) for s in MTS_SEEDS for v in values}
-    return {v: _mean([runs[v, s] for s in MTS_SEEDS]) for v in values}
+    return {v: mean_costs([runs[v, s] for s in MTS_SEEDS]) for v in values}
 
 
-def _mean(rs: list[OreoResult]) -> dict:
+def mean_costs(rs: list[OreoResult]) -> dict:
+    """The mean cost, move and state-space figures of ``rs``, as a table row."""
     return {
         "query_cost": float(np.mean([r.query_cost for r in rs])),
         "reorg_cost": float(np.mean([r.reorg_cost for r in rs])),
@@ -77,6 +73,12 @@ def _mean(rs: list[OreoResult]) -> dict:
         "n_moves": float(np.mean([r.n_moves for r in rs])),
         "n_states_max": float(np.mean([r.n_states_max for r in rs])),
     }
+
+
+def expect(ok: bool, shape: str) -> None:
+    """Raise ``ValueError`` unless ``ok``: a table breaks the paper's ``shape``."""
+    if not ok:
+        raise ValueError(f"shape check failed: {shape}")
 
 
 def fmt_row(cells, widths) -> str:

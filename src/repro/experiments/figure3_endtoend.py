@@ -21,8 +21,10 @@ from repro.experiments.common import (
     DATASETS,
     K_PARTITIONS,
     N_QUERIES_HEADLINE,
+    expect,
     make_setup,
     markdown_table,
+    mean_costs,
     mean_over_seeds,
 )
 
@@ -36,27 +38,15 @@ def run(n_queries: int = N_QUERIES_HEADLINE, datasets=DATASETS, layout_kinds=LAY
         su = make_setup(d, n_queries=n_queries)
         for kind in layout_kinds:
             kw = dict(k=K_PARTITIONS, layout_kind=kind)
-            per_method = {}
-            s = run_static(su.pdf, su.spec, su.workload, seed=0, **kw)
-            per_method["static"] = {
-                "query_cost": s.query_cost, "reorg_cost": 0.0,
-                "total_cost": s.total_cost, "n_moves": 0,
+            wl = (su.pdf, su.spec, su.workload)
+            per_method = {
+                "static": mean_costs([run_static(*wl, seed=0, **kw)]),
+                "greedy": mean_costs([run_greedy(*wl, alpha=ALPHA, seed=0, **kw)]),
+                "regret": mean_costs([run_regret(*wl, alpha=ALPHA, seed=0, **kw)]),
+                "oreo": mean_over_seeds(
+                    lambda seed: run_oreo(*wl, alpha=ALPHA, seed=seed, **kw)
+                ),
             }
-            g = run_greedy(su.pdf, su.spec, su.workload, alpha=ALPHA, seed=0, **kw)
-            per_method["greedy"] = {
-                "query_cost": g.query_cost, "reorg_cost": g.reorg_cost,
-                "total_cost": g.total_cost, "n_moves": g.n_moves,
-            }
-            r = run_regret(su.pdf, su.spec, su.workload, alpha=ALPHA, seed=0, **kw)
-            per_method["regret"] = {
-                "query_cost": r.query_cost, "reorg_cost": r.reorg_cost,
-                "total_cost": r.total_cost, "n_moves": r.n_moves,
-            }
-            per_method["oreo"] = mean_over_seeds(
-                lambda seed: run_oreo(
-                    su.pdf, su.spec, su.workload, alpha=ALPHA, seed=seed, **kw
-                )
-            )
             for m in METHODS:
                 rows.append({"dataset": d, "layout": kind, "method": m, **per_method[m]})
     return rows
@@ -64,40 +54,31 @@ def run(n_queries: int = N_QUERIES_HEADLINE, datasets=DATASETS, layout_kinds=LAY
 
 def improvement_vs_static(rows: list[dict]) -> list[dict]:
     """OREO's total-cost improvement over Static per (dataset, layout)."""
+    static = {(r["dataset"], r["layout"]): r["total_cost"] for r in rows if r["method"] == "static"}
     out = []
-    by_key = {(r["dataset"], r["layout"], r["method"]): r for r in rows}
-    for (d, kind, m), r in by_key.items():
-        if m != "oreo":
-            continue
-        s = by_key[(d, kind, "static")]
-        out.append(
-            {
-                "dataset": d,
-                "layout": kind,
-                "improvement_pct": round(
-                    (s["total_cost"] - r["total_cost"]) / s["total_cost"] * 100, 1
-                ),
-            }
-        )
+    for r in rows:
+        if r["method"] == "oreo":
+            s = static[r["dataset"], r["layout"]]
+            pct = round((s - r["total_cost"]) / s * 100, 1)
+            out.append({"dataset": r["dataset"], "layout": r["layout"], "improvement_pct": pct})
     return out
 
 
 def to_seconds(rows: list[dict], *, t_scan: float, t_reorg: float) -> list[dict]:
     """Convert logical costs to end-to-end seconds via Table I unit times."""
-    out = []
-    for r in rows:
-        out.append(
-            {
-                **r,
-                "query_s": round(r["query_cost"] * t_scan, 1),
-                "reorg_s": round(r["n_moves"] * t_reorg, 1),
-                "total_s": round(r["query_cost"] * t_scan + r["n_moves"] * t_reorg, 1),
-            }
-        )
-    return out
+    return [
+        {
+            **r,
+            "query_s": round(r["query_cost"] * t_scan, 1),
+            "reorg_s": round(r["n_moves"] * t_reorg, 1),
+            "total_s": round(r["query_cost"] * t_scan + r["n_moves"] * t_reorg, 1),
+        }
+        for r in rows
+    ]
 
 
 def format_table(rows: list[dict]) -> str:
+    """The result file: the grid, then OREO's improvement over Static per cell."""
     header = ["dataset", "layout", "method", "query", "reorg", "total", "moves"]
     body = [
         [
@@ -107,4 +88,13 @@ def format_table(rows: list[dict]) -> str:
         ]
         for r in rows
     ]
-    return markdown_table(header, body)
+    return markdown_table(header, body) + "\n\n" + "\n".join(
+        f"OREO vs static [{i['dataset']}/{i['layout']}]: {i['improvement_pct']:+.1f}%"
+        for i in improvement_vs_static(rows)
+    )
+
+
+def check(rows: list[dict]) -> None:
+    """Headline shape: with Qd-tree layouts, OREO beats the static layout."""
+    qd = [i["improvement_pct"] for i in improvement_vs_static(rows) if i["layout"] == "qdtree"]
+    expect(max(qd) > 0, "with Qd-tree, OREO beats Static")

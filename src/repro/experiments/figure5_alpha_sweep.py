@@ -10,6 +10,7 @@ from repro.core.oreo import run_oreo
 from repro.experiments.common import (
     K_PARTITIONS,
     N_QUERIES_SWEEP,
+    expect,
     make_setup,
     markdown_table,
     mean_over_seeds_each,
@@ -38,3 +39,8 @@ def format_table(rows: list[dict]) -> str:
         for r in rows
     ]
     return markdown_table(header, body)
+
+
+def check(rows: list[dict]) -> None:
+    """Paper shape: layout changes decrease as reorganization gets pricier."""
+    expect(rows[0]["n_moves"] > rows[-1]["n_moves"], "moves fall from the lowest α to the highest")

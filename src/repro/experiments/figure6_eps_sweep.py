@@ -10,6 +10,7 @@ from repro.experiments.common import (
     ALPHA,
     K_PARTITIONS,
     N_QUERIES_SWEEP,
+    expect,
     make_setup,
     markdown_table,
     mean_over_seeds_each,
@@ -39,3 +40,8 @@ def format_table(rows: list[dict]) -> str:
         for r in rows
     ]
     return markdown_table(header, body)
+
+
+def check(rows: list[dict]) -> None:
+    """Paper shape: larger ε shrinks the dynamic state space."""
+    expect(rows[0]["n_states_max"] >= rows[-1]["n_states_max"], "peak states do not grow with ε")

@@ -3,37 +3,33 @@
 Paper: Spark stand-alone, Parquet on local disk; full-table-scan seconds vs
 reorganization seconds (read + update BID + repartition by BID + compress +
 write) for file sizes 16MB–4GB; α ranged 60×–100×. We measure the same two
-operations at container-feasible sizes (16/64/256MB by default; set
-REPRO_TABLE1_SIZES to override, e.g. "16,64,256,1024"). Rows are TPC-H-lite
-rows; the row count per target size is calibrated from a probe write.
+operations at container-feasible sizes (16/64/256MB by default; pass
+``sizes_mb=(16, 64, 256, 1024, 4096)`` for the paper's range). Rows are
+TPC-H-lite rows; the row count per target size is calibrated from a probe
+write.
 """
 from __future__ import annotations
 
 import os
+import pathlib
 import statistics
 import tempfile
 
 from pyspark.sql import SparkSession
 
 from repro.core.layout_manager import build_layout, data_sample
-from repro.experiments.common import markdown_table
+from repro.experiments.common import expect, markdown_table
 from repro.layouts.fixed import build_fixed
 from repro.sparkio.runner import full_scan, read_layout_table, reorganize, write_layout
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
 
 MB = 1 << 20
-DEFAULT_SIZES_MB = tuple(
-    int(s) for s in os.environ.get("REPRO_TABLE1_SIZES", "16,64,256").split(",")
-)
 N_SCAN_REPS = 3
 
 
 def _dir_size(path: str) -> int:
-    total = 0
-    for root, _, files in os.walk(path):
-        total += sum(os.path.getsize(os.path.join(root, f)) for f in files)
-    return total
+    return sum(f.stat().st_size for f in pathlib.Path(path).rglob("*") if f.is_file())
 
 
 def _calibrate_bytes_per_row(spark: SparkSession, workdir: str) -> float:
@@ -46,10 +42,22 @@ def _calibrate_bytes_per_row(spark: SparkSession, workdir: str) -> float:
     return _dir_size(path) / len(probe)
 
 
-def run(sizes_mb=DEFAULT_SIZES_MB, workdir: str | None = None, spark: SparkSession | None = None) -> list[dict]:
-    """Measure (scan seconds, reorg seconds, α) per target file size."""
-    spark = spark or SparkSession.builder.getOrCreate()
-    workdir = workdir or tempfile.mkdtemp(prefix="table1_")
+def run(sizes_mb=(16, 64, 256), spark: SparkSession | None = None) -> list[dict]:
+    """Measure (scan seconds, reorg seconds, α) per target file size, in a
+    temporary directory removed on return. A session built here gets the test
+    fixture's settings, under which the committed table was measured: Arrow
+    on, driver memory from ``SPARK_DRIVER_MEM`` (4g when unset)."""
+    spark = spark or (
+        SparkSession.builder.appName("table1_alpha")
+        .config("spark.driver.memory", os.environ.get("SPARK_DRIVER_MEM", "4g"))
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .getOrCreate()
+    )
+    with tempfile.TemporaryDirectory(prefix="table1_") as workdir:
+        return _measure(spark, sizes_mb, workdir)
+
+
+def _measure(spark: SparkSession, sizes_mb, workdir: str) -> list[dict]:
     bpr = _calibrate_bytes_per_row(spark, workdir)
     wl = generate_workload("tpch_lite", n_queries=200, n_segments=5, seed=3)
 
@@ -109,3 +117,8 @@ def format_table(rows: list[dict]) -> str:
         for r in rows
     ]
     return markdown_table(header, body)
+
+
+def check(rows: list[dict]) -> None:
+    """Sanity: reorganization must be far costlier than a scan at every size."""
+    expect(all(r["alpha"] > 5 for r in rows), "α > 5 at every size")

@@ -10,20 +10,26 @@ TPC-H / TPC-DS / Telemetry, defaults α=80, ε=0.08, γ=1, sliding window,
 """
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from repro.core.oreo import run_oreo
 from repro.experiments.common import (
     ALPHA,
     DATASETS,
     K_PARTITIONS,
     N_QUERIES_SWEEP,
+    expect,
     make_setup,
     markdown_table,
     mean_over_seeds_each,
 )
 
+DEFAULT = "default (γ=1, SW, Δ=0)"
 # (row label, run_oreo keyword overrides)
 VARIANTS: list[tuple[str, dict]] = [
-    ("default (γ=1, SW, Δ=0)", {}),
+    (DEFAULT, {}),
     ("γ=0", {"gamma": 0.0}),
     ("γ=2", {"gamma": 2.0}),
     ("γ=3", {"gamma": 3.0}),
@@ -56,14 +62,14 @@ def run(n_queries: int = N_QUERIES_SWEEP) -> dict[str, dict[str, dict]]:
 def format_table(results: dict[str, dict[str, dict]]) -> str:
     """Render in the paper's shape: query costs | reorg costs, ×10³."""
     header = ["variant"] + [f"query {d}" for d in DATASETS] + [f"reorg {d}" for d in DATASETS]
-    base = results["default (γ=1, SW, Δ=0)"]
+    base = results[DEFAULT]
     rows = []
     for label, per_ds in results.items():
         def cell(metric, d):
             v = per_ds[d][metric] / 1e3
             b = base[d][metric] / 1e3
             delta = (v - b) / b * 100 if b > 0 else 0.0
-            mark = f" ({delta:+.0f}%)" if label != "default (γ=1, SW, Δ=0)" and abs(delta) >= 5 else ""
+            mark = f" ({delta:+.0f}%)" if label != DEFAULT and abs(delta) >= 5 else ""
             return f"{v:.2f}{mark}"
 
         rows.append(
@@ -72,3 +78,15 @@ def format_table(results: dict[str, dict[str, dict]]) -> str:
             + [cell("reorg_cost", d) for d in DATASETS]
         )
     return markdown_table(header, rows)
+
+
+def check(results: dict[str, dict[str, dict]]) -> None:
+    """The Δ=80 row against the default row."""
+    base, late = results[DEFAULT], results["Δ=80"]
+    # Guaranteed invariant: Δ is charged at decision time, reorg unchanged.
+    same = [math.isclose(v["reorg_cost"], base[d]["reorg_cost"], rel_tol=1e-6) for d, v in late.items()]
+    expect(all(same), "Δ=80 leaves the reorganization cost unchanged")
+    # Paper shape (in expectation at full scale): Δ=80 raises query cost on
+    # average across datasets; small tolerance for seed noise.
+    change = np.mean([v["query_cost"] / base[d]["query_cost"] - 1 for d, v in late.items()])
+    expect(change > -0.02, "the mean Δ=80 query change is above -2%")
