@@ -21,15 +21,14 @@ layout enters its catalog; a per-query cost is then entry ``t`` of that cost
 column. Greedy and Regret read their candidates' columns from the candidate
 stream, whose one memoized entry they share with OREO: the first of them to
 run in a cell builds, materializes and costs each candidate, and the others
-reuse it. The online drivers record the state held after each query and
-return through :func:`repro.core.oreo.settle`.
+reuse it. Every driver records the layout held after each query and
+returns through :func:`repro.core.oreo.settle`.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
-from repro.baselines.optimal import offline_optimal_schedule, schedule_cost
+from repro.baselines.optimal import offline_optimal_schedule
 from repro.core.layout_manager import build_layout, candidate_stream, data_sample
 from repro.core.mts import Reorganizer
 from repro.core.oreo import OreoResult, default_layout, settle
@@ -57,14 +56,8 @@ def run_static(
         pdf, spec, data_sample(pdf, seed), workload.queries, k,
         layout_kind=layout_kind, name=f"static:{layout_kind}", seed=seed,
     )
-    paid = mat.cost_vector(workload.compiled)
-    return OreoResult(
-        method=f"static:{layout_kind}",
-        query_costs=paid,
-        reorg_cost=0.0,
-        n_moves=0,
-        layout_per_query=[mat.name] * len(workload),
-    )
+    cols = {mat.name: mat.cost_vector(workload.compiled)}
+    return settle(mat.name, cols, mat.name, [mat.name] * len(workload), 0, 0.0, 0)
 
 
 def run_greedy(pdf, spec, workload, *, alpha: float = 80.0, k: int,
@@ -194,23 +187,14 @@ def run_offline_optimal(
     layouts = layouts or per_template_layouts(
         pdf, spec, workload, k, layout_kind=layout_kind, seed=seed
     )
-    names = sorted(m.name for m in layouts.values())
-    idx = {n: i for i, n in enumerate(names)}
     stream = workload.compiled
     cols = {m.name: m.cost_vector(stream) for m in layouts.values()}
-    cost_mat = np.stack([cols[n] for n in names], axis=1)
-    seg_best = [
-        idx[layouts[tid].name] for tid in workload.segment_templates
-    ]
-    sched = offline_optimal_schedule(
-        workload.segment_starts, seg_best, len(workload)
-    )
-    service, move, n_moves = schedule_cost(cost_mat, sched, alpha)
-    return OreoResult(
-        method=f"offline_optimal:{layout_kind}",
-        query_costs=cost_mat[np.arange(len(sched)), sched],
-        reorg_cost=move,
-        n_moves=n_moves,
-        layout_per_query=[names[s] for s in sched],
-        n_states_max=len(names),
+    # Each segment is served on its template's layout.
+    sched = [layouts[tid].name for tid in offline_optimal_schedule(
+        workload.segment_starts, workload.segment_templates, len(workload)
+    )]
+    n_moves = sum(a != b for a, b in zip(sched, sched[1:]))
+    return settle(
+        f"offline_optimal:{layout_kind}", cols, sched[0], sched[1:] + sched[-1:], 0,
+        n_moves * float(alpha), n_moves, n_states_max=len(cols),
     )

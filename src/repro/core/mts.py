@@ -56,7 +56,6 @@ class Reorganizer:
         *,
         alpha: float,
         gamma: float = 1.0,
-        stay_on_reset: bool = True,
         seed: int = 0,
     ) -> None:
         states = list(dict.fromkeys(initial_states))
@@ -66,7 +65,6 @@ class Reorganizer:
             raise ValueError("alpha must exceed 1 (reorg costlier than a scan)")
         self.alpha = float(alpha)
         self.gamma = float(gamma)
-        self.stay_on_reset = stay_on_reset
         self._rng = np.random.default_rng(seed)
 
         self.states: set[str] = set(states)
@@ -156,15 +154,9 @@ class Reorganizer:
 
         if served not in self.active:
             if not self.active:
+                # Stay on reset: keep the current layout, no movement cost
+                # (§IV-A).
                 self._reset_phase()
-                # With stay-on-reset, keep the current layout: no movement
-                # cost (§IV-A).
-                if not self.stay_on_reset:
-                    dst = self._draw_next()
-                    if dst != served:
-                        self.moves.append(Move(self.t, served, dst))
-                        self.total_move += self.alpha
-                        self.current = dst
             else:
                 dst = self._draw_next()
                 self.moves.append(Move(self.t, served, dst))

@@ -149,7 +149,7 @@ def run_oreo(
     )
     cols = manager.columns
     reorg = Reorganizer(
-        [init.name], alpha=alpha, gamma=gamma, stay_on_reset=True, seed=seed
+        [init.name], alpha=alpha, gamma=gamma, seed=seed
     )
 
     after: list[str] = []

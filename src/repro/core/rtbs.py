@@ -33,19 +33,21 @@ class TimeBiasedReservoir(Generic[T]):
         self.size = size
         self.lam = float(lam)
         self._rng = np.random.default_rng(seed)
-        self._heap: list[tuple[float, int, T]] = []  # (priority, t, item)
+        self._heap: list[tuple[float, int, T]] = []  # (key, t, item)
         self.t = 0
 
     def add(self, item: T) -> None:
         """Offer one stream item; kept with probability ∝ exp(lam·t)."""
         u = float(self._rng.random())
-        # log-priority = log(u)/w with w = exp(lam*t); work in logs to avoid
-        # overflow for long streams: log(u) * exp(-lam*t).
-        pri = math.log(max(u, 1e-300)) * math.exp(-self.lam * self.t)
-        entry = (pri, self.t, item)
+        # Rank by -log(-log p) of the A-Res priority p = u^(1/w), w =
+        # exp(lam*t): lam*t - log(-log u), which grows with p. It calls no
+        # exp, so it stays exact on long streams; log(u) * exp(-lam*t)
+        # underflows to -0.0 once lam*t exceeds about 745.
+        key = self.lam * self.t - math.log(-math.log(max(u, 1e-300)))
+        entry = (key, self.t, item)
         if len(self._heap) < self.size:
             heapq.heappush(self._heap, entry)
-        elif pri > self._heap[0][0]:
+        elif key > self._heap[0][0]:
             heapq.heapreplace(self._heap, entry)
         self.t += 1
 

@@ -38,7 +38,6 @@ matches them.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,21 +104,10 @@ class MaterializedLayout:
         """Service cost c(s, q): fraction of rows in non-skipped partitions."""
         return float(self._cost(self.relevant_partitions(query)))
 
-    def cost_vector(self, queries: CompiledQueries | Sequence[Query]) -> np.ndarray:
-        """Service cost of every query of a stream, in one pass.
-
-        ``queries`` is a stream compiled by :func:`compile_queries`, or a
-        sequence of queries to compile first.
-        """
-        if not isinstance(queries, CompiledQueries):
-            queries = compile_queries(queries)
-        return self._cost(self._keep(queries))
-
-    def eval_skipped(self, queries: Sequence[Query]) -> float:
-        """Average fraction of data *skipped* over ``queries`` (paper API)."""
-        if not queries:
-            return 0.0
-        return float(np.mean(1.0 - self.cost_vector(queries)))
+    def cost_vector(self, stream: CompiledQueries) -> np.ndarray:
+        """Service cost of every query of a stream compiled by
+        :func:`compile_queries`, in one pass."""
+        return self._cost(self._keep(stream))
 
 
 def build_materialized(

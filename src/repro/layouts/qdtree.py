@@ -19,18 +19,24 @@ the same:
 Each leaf's split search is a handful of array operations over all cuts
 and queries at once:
 
-- the window's predicates are compiled once per build: per numeric column,
-  ``L``/``H`` hold each query's tightest lower/upper bound (±inf when
-  absent), so a query can touch a node with range ``[lo, hi]`` exactly when
-  ``hi >= L and lo <= H``; categorical columns are dictionary-coded
-  (``pd.factorize``), so IN-predicates, cut value sets and a node's
-  distinct values are boolean masks over the codes;
+- the window's predicates are compiled once per build by
+  :func:`~repro.workload.queries.compile_queries`, as for the cost model:
+  per numeric column, the queries that filter it with their tightest
+  bounds ``[L, H]``, so such a query can touch a node with range
+  ``[lo, hi]`` exactly when ``hi >= L and lo <= H``; per categorical
+  column, the window's IN vocabulary and one value mask per IN-predicate
+  slot. The sample's column is coded into that vocabulary
+  (``get_indexer``), with one more code for every other or missing value,
+  so IN-predicates, cut value sets and a node's distinct values are
+  boolean masks over one code space;
 - a numeric cut's left-side row count ``n1`` comes from one
   ``searchsorted`` of all the column's thresholds into the leaf's sorted
   values, a categorical cut's from its mask times the leaf's code counts;
 - a cut's benefit is ``n1·skip_left + (n_leaf − n1)·skip_right``, where
-  ``skip_*`` counts the queries that can touch the leaf but not that child.
-  The counts are integers, so the result is exact;
+  ``skip_*`` counts the queries that can touch the leaf but not that child
+  (a query with two IN-predicates on the column misses a child when
+  either does, so the misses of the IN slots are ORed). The counts are
+  integers, so the result is exact;
 - the leaf's cut is the ``argmax`` of the benefit vector in cut order,
   taken only if positive, so ties go to the first cut harvested.
 
@@ -53,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro.workload.queries import InPredicate, Query, RangePredicate
+from repro.workload.queries import InPredicate, Query, RangePredicate, compile_queries
 
 
 @dataclass(frozen=True)
@@ -151,15 +157,6 @@ def _span(v: np.ndarray) -> tuple[float, float]:
     return float(np.fmin.reduce(v, initial=np.inf)), float(np.fmax.reduce(v, initial=-np.inf))
 
 
-def _n_skipping(dist: np.ndarray, pred_mask: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Per row of ``dist`` (a value set as a code mask), how many queries have
-    an IN-predicate disjoint from it. ``pred_mask`` holds the predicates'
-    value sets, grouped by query (at least one); ``first`` marks each query's
-    first one."""
-    miss = ~(dist @ pred_mask.T)
-    return np.logical_or.reduceat(miss, np.flatnonzero(first), axis=1).sum(1)
-
-
 def build_qdtree(
     sample: pd.DataFrame,
     queries: list[Query] | tuple[Query, ...],
@@ -185,76 +182,62 @@ def build_qdtree(
         step = len(queries) / max_queries
         queries = [queries[int(i * step)] for i in range(max_queries)]
     cuts = harvest_cuts(queries, max_cuts=max_cuts, seed=seed)
-    nq = len(queries)
+    stream = compile_queries(queries)
+    for c in stream.ranges:
+        if c in categorical_cols:
+            raise ValueError(f"range predicate on categorical column {c!r}")
+    for c in stream.ins:
+        if c not in categorical_cols:
+            raise ValueError(f"IN-predicate on non-categorical column {c!r}")
 
-    # Compile the predicates: per numeric column the queries that filter on
-    # it and their tightest bounds; per categorical column one entry per
-    # IN-predicate (its query and its value set).
-    bounds: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    in_lists: dict[str, tuple[list[int], list[frozenset]]] = {}
-    for qi, q in enumerate(queries):
-        for p in q.predicates:
-            if isinstance(p, RangePredicate):
-                if p.col in categorical_cols:
-                    raise ValueError(f"range predicate on categorical column {p.col!r}")
-                if p.col not in bounds:
-                    bounds[p.col] = (np.zeros(nq, bool), np.full(nq, -np.inf), np.full(nq, np.inf))
-                has, lo_b, hi_b = bounds[p.col]
-                has[qi] = True
-                if p.lo is not None:
-                    lo_b[qi] = max(lo_b[qi], p.lo)
-                if p.hi is not None:
-                    hi_b[qi] = min(hi_b[qi], p.hi)
-            else:
-                if p.col not in categorical_cols:
-                    raise ValueError(f"IN-predicate on non-categorical column {p.col!r}")
-                qs, vals = in_lists.setdefault(p.col, ([], []))
-                qs.append(qi)
-                vals.append(p.values)
+    num = {c: sample[c].to_numpy(dtype=np.float64) for c in stream.ranges}
+    # A categorical column's codes are its IN vocabulary's positions, plus
+    # one code ``V`` for every other value and for a missing one.
+    vocab = {c: v for c, (v, _) in stream.ins.items()}
+    codes = {}
+    for c, v in vocab.items():
+        at = pd.Index(v).get_indexer(sample[c])
+        codes[c] = np.where(at >= 0, at, len(v))
 
-    num = {c: sample[c].to_numpy(dtype=np.float64) for c in bounds}
-    codes: dict[str, np.ndarray] = {}
-    code_of: dict[str, dict] = {}
-    memo: dict[tuple[str, frozenset], np.ndarray] = {}
-
-    def code_mask(c: str, values: frozenset) -> np.ndarray:
-        """The codes of ``values`` in column ``c``, as a boolean mask."""
-        if (c, values) not in memo:
-            m = memo[c, values] = np.zeros(len(code_of[c]), dtype=bool)
-            m[[code_of[c][x] for x in values if x in code_of[c]]] = True
-        return memo[c, values]
-
-    in_preds: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for c, (qs, vals) in in_lists.items():
-        codes[c], uniq = pd.factorize(sample[c], use_na_sentinel=False)
-        code_of[c] = {u: i for i, u in enumerate(uniq)}
-        pred_q = np.asarray(qs)
-        first = np.r_[True, pred_q[1:] != pred_q[:-1]]
-        in_preds[c] = (pred_q, np.array([code_mask(c, v) for v in vals]), first)
-
-    # Cuts grouped by column (all of one kind), with their positions in ``cuts``.
+    # Cuts grouped by column (all of one kind), with their positions in
+    # ``cuts``; a categorical cut's value set is a code mask, kept per cut.
     by_col: dict[str, list[int]] = {}
     for i, cut in enumerate(cuts):
         by_col.setdefault(cut.col, []).append(i)
-    num_cuts, cat_cuts = {}, {}
+    num_cuts, cat_cuts, in_cut = {}, {}, {}
     for c, idx in by_col.items():
-        if c in bounds:
+        if c in num:
             v = np.array([cuts[i].v for i in idx])
             num_cuts[c] = (np.asarray(idx), v, np.nextafter(v, -np.inf))
         else:
-            cat_cuts[c] = (np.asarray(idx), np.array([code_mask(c, cuts[i].values) for i in idx]))
+            code = {x: j for j, x in enumerate(vocab[c])}
+            masks = np.zeros((len(idx), len(vocab[c]) + 1), dtype=bool)
+            for m, i in zip(masks, idx):
+                m[[code[x] for x in cuts[i].values]] = True
+                in_cut[cuts[i]] = m
+            cat_cuts[c] = (np.asarray(idx), masks, masks[:, :-1].astype(np.float32))
 
     def touch_num(acc: np.ndarray, c: str, lo: float, hi: float) -> np.ndarray:
         """``acc`` narrowed to the queries whose bounds on ``c`` meet ``[lo, hi]``."""
-        _, lo_b, hi_b = bounds[c]
-        return acc & (hi >= lo_b) & (lo <= hi_b)
+        rows, lo_b, hi_b = stream.ranges[c]
+        out = acc.copy()
+        out[rows] &= (hi >= lo_b) & (lo <= hi_b)
+        return out
 
     def touch_cat(acc: np.ndarray, c: str, dist: np.ndarray) -> np.ndarray:
         """``acc`` without the queries with an IN-predicate on ``c`` disjoint from ``dist``."""
-        pred_q, masks, _ = in_preds[c]
         out = acc.copy()
-        out[pred_q[~(masks @ dist)]] = False
+        for rows, mask in stream.ins[c][1]:
+            out[rows[~mask[:, dist[:-1]].any(1)]] = False
         return out
+
+    def misses(left: np.ndarray, mask: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Per cut and IN-predicate (a row of ``mask``), whether the predicate
+        names none of the leaf's values ``d`` that the cut sends left (the
+        first ``len(left)`` rows), then none of those it sends right."""
+        p = mask[:, d]
+        hit = left @ p.T
+        return np.concatenate([hit == 0, hit == p.sum(1)])
 
     min_rows = max(1, int(min_leaf_frac * len(sample) / k))
 
@@ -266,8 +249,8 @@ def build_qdtree(
         n_leaf = len(rows)
         ben = np.zeros(len(cuts), dtype=np.int64)
         for c, (idx, v, v_prev) in num_cuts.items():
-            has, lo_b, hi_b = bounds[c]
-            sel = acc & has
+            q, lo_b, hi_b = stream.ranges[c]
+            sel = acc[q]
             ok = (lo[c] < v) & (v <= hi[c])
             if not sel.any() or not ok.any():
                 continue
@@ -278,20 +261,28 @@ def build_qdtree(
             skip_l = (~((v_prev[:, None] >= lo_b) & (lo[c] <= hi_b))).sum(1)
             skip_r = (~((hi[c] >= lo_b) & (v[:, None] <= hi_b))).sum(1)
             ben[idx[ok]] = (n1 * skip_l + (n_leaf - n1) * skip_r)[ok]
-        for c, (idx, masks) in cat_cuts.items():
-            pred_q, pred_mask, first = in_preds[c]
-            sel = acc[pred_q]
-            left, right = masks & dist[c], ~masks & dist[c]
-            ok = left.any(1) & right.any(1)
-            if not sel.any() or not ok.any():
+        for c, (idx, masks, masks_f) in cat_cuts.items():
+            slots = stream.ins[c][1]
+            q = slots[0][0]  # a query with a k-th IN-predicate on c has a first
+            sel = acc[q]
+            if not sel.any():
                 continue
+            # With ``min_rows >= 1`` both children hold rows, so neither
+            # child's value set is empty.
             n1 = masks @ np.bincount(codes[c][rows], minlength=masks.shape[1])
-            ok &= (n1 >= min_rows) & (n_leaf - n1 >= min_rows)
-            # A query's predicates are all selected or none, so ``first``
-            # still marks the selected queries' first ones.
-            skip_l = _n_skipping(left, pred_mask[sel], first[sel])
-            skip_r = _n_skipping(right, pred_mask[sel], first[sel])
-            ben[idx[ok]] = (n1 * skip_l + (n_leaf - n1) * skip_r)[ok]
+            ok = (n1 >= min_rows) & (n_leaf - n1 >= min_rows)
+            if not ok.any():
+                continue
+            # A child skips a selected query when one of the query's
+            # IN-predicates misses all of the child's values.
+            d = dist[c][:-1]
+            left = masks_f[:, d]
+            miss = misses(left, slots[0][1][sel], d)
+            for q_k, mask in slots[1:]:
+                sel_k = acc[q_k]
+                miss[:, np.searchsorted(q[sel], q_k[sel_k])] |= misses(left, mask[sel_k], d)
+            skip = miss.sum(1)
+            ben[idx[ok]] = (n1 * skip[: len(idx)] + (n_leaf - n1) * skip[len(idx) :])[ok]
         best = int(np.argmax(ben))
         return int(ben[best]), best
 
@@ -301,7 +292,7 @@ def build_qdtree(
         if isinstance(cut, NumCut):
             lm = num[c][rows] < cut.v
         else:
-            lm = code_mask(c, cut.values)[codes[c][rows]]
+            lm = in_cut[cut][codes[c][rows]]
         children = []
         for part in (rows[lm], rows[~lm]):
             if isinstance(cut, NumCut):
@@ -315,13 +306,13 @@ def build_qdtree(
         return children
 
     root_lo, root_hi = {}, {}
-    acc = np.ones(nq, dtype=bool)
-    for c in bounds:
+    acc = np.ones(len(stream), dtype=bool)
+    for c in num:
         root_lo[c], root_hi[c] = _span(num[c])
         acc = touch_num(acc, c, root_lo[c], root_hi[c])
     root_dist = {}
-    for c in in_preds:
-        root_dist[c] = np.bincount(codes[c], minlength=len(code_of[c])) > 0
+    for c in codes:
+        root_dist[c] = np.bincount(codes[c], minlength=len(vocab[c]) + 1) > 0
         acc = touch_cat(acc, c, root_dist[c])
 
     # Greedy loop over a max-heap of leaves keyed by their best benefit;

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.workload.queries import CompiledQueries, Query, compile_queries
-from repro.workload.templates import TEMPLATES, Template
+from repro.workload.templates import TEMPLATES
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,17 @@ class Workload:
 
 
 def generate_workload(
-    templates: tuple[Template, ...] | str,
+    dataset: str,
     *,
     n_queries: int = 2_000,
     n_segments: int = 20,
     seed: int = 0,
 ) -> Workload:
-    """Generate a template-segmented query stream.
-
-    ``templates`` may be a dataset name (looked up in ``TEMPLATES``) or an
-    explicit tuple of :class:`Template`. Deterministic in ``seed``.
+    """Generate a template-segmented query stream from the templates of
+    ``dataset`` (``TEMPLATES[dataset]``, whose ids are their positions).
+    Deterministic in ``seed``.
     """
-    if isinstance(templates, str):
-        templates = TEMPLATES[templates]
+    templates = TEMPLATES[dataset]
     if n_segments < 1 or n_queries < n_segments:
         raise ValueError("need n_queries >= n_segments >= 1")
     g = np.random.default_rng(seed)

@@ -22,7 +22,6 @@ their stream positions, so costing touches only those queries.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +145,7 @@ def compile_queries(queries) -> CompiledQueries:
     bounds: dict[str, dict[int, list[float]]] = {}  # col -> {i: [lo, hi]}
     slots: dict[str, list[dict[int, frozenset]]] = {}  # col -> k -> {i: values}
     for i, q in enumerate(queries):
-        seen: Counter = Counter()
+        seen: dict[str, int] = {}  # col -> IN predicates on it so far
         for p in q.predicates:
             if isinstance(p, RangePredicate):
                 b = bounds.setdefault(p.col, {}).setdefault(i, [-np.inf, np.inf])
@@ -156,10 +155,11 @@ def compile_queries(queries) -> CompiledQueries:
                     b[1] = min(b[1], p.hi)
             elif isinstance(p, InPredicate):
                 col_slots = slots.setdefault(p.col, [])
-                if seen[p.col] == len(col_slots):
+                n = seen.get(p.col, 0)
+                if n == len(col_slots):
                     col_slots.append({})
-                col_slots[seen[p.col]][i] = p.values
-                seen[p.col] += 1
+                col_slots[n][i] = p.values
+                seen[p.col] = n + 1
             else:
                 raise TypeError(f"unknown predicate type {type(p)}")
 

@@ -21,6 +21,7 @@ from repro.core import layout_manager
 from repro.core.oreo import run_oreo
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
+from repro.workload.queries import compile_queries
 from tests.test_goldens import GOLDENS, SETUPS, outputs
 
 ALPHA = 20.0
@@ -156,7 +157,7 @@ class TestPerTemplateLayouts:
         wins = 0
         for si, tid in enumerate(workload.segment_templates):
             qs = workload.queries[starts[si] : starts[si + 1]]
-            spec_c = tl[tid].cost_vector(qs).mean()
+            spec_c = tl[tid].cost_vector(compile_queries(qs)).mean()
             stat_c = np.mean(
                 [c for c, q in zip(all_results["static"].query_costs[starts[si]:starts[si+1]], qs)]
             )

@@ -77,9 +77,3 @@ class TestGenerateWorkload:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             generate_workload("tpch_lite", n_queries=5, n_segments=10)
-
-    def test_accepts_explicit_templates(self):
-        w = generate_workload(
-            TEMPLATES["telemetry"], n_queries=50, n_segments=3, seed=4
-        )
-        assert len(w) == 50

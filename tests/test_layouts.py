@@ -16,7 +16,7 @@ from repro.layouts.zorder import (
 )
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
-from repro.workload.queries import InPredicate, Query, RangePredicate
+from repro.workload.queries import InPredicate, Query, RangePredicate, compile_queries
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,11 @@ def _mat(pdf, layout):
         categorical_cols=ds.TPCH_LITE.categorical_cols,
         layout=layout,
     )
+
+
+def _skipped(mat, queries) -> float:
+    """Mean fraction of the data ``mat`` lets ``queries`` skip."""
+    return float(np.mean(1.0 - mat.cost_vector(compile_queries(queries))))
 
 
 class TestFixedRange:
@@ -122,7 +127,7 @@ class TestQdTree:
         fx = build_fixed(pdf, "l_orderkey", 16)  # sort by an unqueried key
         m_qd, m_fx = _mat(pdf, qd), _mat(pdf, fx)
         qs = workload.queries
-        assert m_qd.eval_skipped(qs) > m_fx.eval_skipped(qs) + 0.05
+        assert _skipped(m_qd, qs) > _skipped(m_fx, qs) + 0.05
 
     def test_specializes_to_single_template(self, pdf):
         """A tree built for one template family skips most data for it."""
@@ -132,7 +137,7 @@ class TestQdTree:
         t6 = next(t for t in TPCH_TEMPLATES if t.name.startswith("q6"))
         qs = [t6.instantiate(g) for _ in range(50)]
         lay = build_qdtree(pdf, qs, 16, categorical_cols=ds.TPCH_LITE.categorical_cols)
-        assert _mat(pdf, lay).eval_skipped(qs) > 0.5
+        assert _skipped(_mat(pdf, lay), qs) > 0.5
 
     def test_min_leaf_size_respected(self, pdf, workload):
         k = 8
@@ -230,6 +235,74 @@ def test_qdtree_golden_assignment(name, case):
     assert (lay.n_partitions, digest) == GOLDEN_TREES[name, case]
 
 
+# Inputs the dataset goldens never hold, on a frame with numeric x, y and
+# string s, t. case -> (query kind, missing values in s and t, dtype of s
+# and t, (n_partitions, SHA-1 of the BIDs assigned to the frame)).
+EDGE_TREES = {
+    "two-in-one-column": ("two-in-one-column", False, "category", (12, "1dc018a62c833efab8addbf21102ed73c37ccb17")),
+    "absent-values": ("absent-values", False, "category", (12, "0ae2b94fee8c63808d8e611e7d9bbb15c666787c")),
+    "missing-values": ("mixed", True, "category", (12, "a59021c908a3d243c102bb549106a8512037d767")),
+    "object-dtype": ("mixed", True, object, (12, "a59021c908a3d243c102bb549106a8512037d767")),
+    "no-in": ("no-in", False, "category", (12, "373172bbd61e54c9d23fe84770b6f02d3231c845")),
+    "only-in": ("only-in", False, "category", (12, "3517202c2629d5066fcaab57cbd5f772bfe568d9")),
+}
+S_DOMAIN, T_DOMAIN = list("abcdefgh"), ["p", "q", "r", "u"]
+
+
+def _edge_frame(missing: bool) -> pd.DataFrame:
+    g = np.random.default_rng(11)
+    n = 1500
+    s = g.choice(S_DOMAIN, n).astype(object)
+    t = g.choice(T_DOMAIN, n).astype(object)
+    if missing:
+        s[::7] = None
+        t[3::11] = np.nan
+    return pd.DataFrame({"x": g.uniform(0, 100, n), "y": g.integers(0, 50, n).astype(float), "s": s, "t": t})
+
+
+def _edge_queries(kind: str) -> list[Query]:
+    g = np.random.default_rng(5)
+    out = []
+    for i in range(40):
+        lo = float(g.uniform(0, 90))
+        rng = RangePredicate("x", lo=lo, hi=lo + float(g.uniform(2, 20)))
+        ins = InPredicate("s", frozenset(g.choice(S_DOMAIN, int(g.integers(1, 4)), replace=False).tolist()))
+        tin = InPredicate("t", frozenset(g.choice(T_DOMAIN, int(g.integers(1, 3)), replace=False).tolist()))
+        if kind == "two-in-one-column":
+            second = InPredicate("s", frozenset(g.choice(S_DOMAIN, int(g.integers(2, 6)), replace=False).tolist()))
+            preds = (rng, ins, second) if i % 2 else (ins, tin)
+        elif kind == "absent-values":
+            ins = InPredicate("s", ins.values | {"zz", "q'"}) if i % 3 else InPredicate("s", frozenset({"nope"}))
+            preds = (rng, ins) if i % 2 else (ins, tin)
+        elif kind == "no-in":
+            preds = (rng, RangePredicate("y", hi=float(g.integers(5, 45)))) if i % 2 else (rng,)
+        elif kind == "only-in":
+            preds = (ins, tin) if i % 2 else (ins,)
+        else:
+            preds = (rng, ins) if i % 2 else (tin, rng)
+        out.append(Query(preds))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_TREES))
+def test_qdtree_edge_input_assignment(case):
+    kind, missing, dtype, want = EDGE_TREES[case]
+    frame = _edge_frame(missing).astype({"s": dtype, "t": dtype})
+    lay = build_qdtree(frame, _edge_queries(kind), 12, categorical_cols=("s", "t"))
+    digest = hashlib.sha1(lay.assign(frame).astype(np.int64).tobytes()).hexdigest()
+    assert (lay.n_partitions, digest) == want
+
+
+@pytest.mark.parametrize("pred,msg", [
+    (RangePredicate("s", lo=0.0), "range predicate on categorical column 's'"),
+    (InPredicate("x", frozenset({"a"})), "IN-predicate on non-categorical column 'x'"),
+])
+def test_qdtree_rejects_a_predicate_of_the_wrong_kind(pred, msg):
+    frame = _edge_frame(False).astype({"s": "category", "t": "category"})
+    with pytest.raises(ValueError, match=msg):
+        build_qdtree(frame, [Query((RangePredicate("x", hi=50.0),)), Query((pred,))], 4, categorical_cols=("s", "t"))
+
+
 def _sha1(a) -> str:
     return hashlib.sha1(np.asarray(a, dtype=np.int64).tobytes()).hexdigest()
 
@@ -316,7 +389,7 @@ class TestZOrder:
         qs = [t1.instantiate(g) for _ in range(40)]
         lay = build_zorder(pdf, qs, 16, categorical_cols=ds.TPCH_LITE.categorical_cols)
         fx = build_fixed(pdf, "l_orderkey", 16)
-        assert _mat(pdf, lay).eval_skipped(qs) > _mat(pdf, fx).eval_skipped(qs)
+        assert _skipped(_mat(pdf, lay), qs) > _skipped(_mat(pdf, fx), qs)
 
     def test_deterministic(self, pdf, workload):
         a = build_zorder(pdf, workload.queries, 10, categorical_cols=ds.TPCH_LITE.categorical_cols)
@@ -330,7 +403,7 @@ class TestZOrder:
         )
         assert lay.cols == ("c_mktsegment",)
         m = _mat(pdf, lay)
-        assert m.eval_skipped(qs) > 0.3
+        assert _skipped(m, qs) > 0.3
 
     def test_rejects_bad_k(self, pdf, workload):
         with pytest.raises(ValueError):

@@ -252,20 +252,12 @@ class TestCostModel:
         q = Query((RangePredicate("l_quantity", lo=1e6),))
         assert mat.cost(q) == 0.0
 
-    def test_eval_skipped_complements_cost(self, mat):
-        qs = [
-            Query((RangePredicate("l_quantity", lo=0, hi=1e9),)),
-            Query((RangePredicate("l_quantity", lo=1e6),)),
-        ]
-        assert mat.eval_skipped(qs) == pytest.approx(0.5)
-        assert mat.eval_skipped([]) == 0.0
-
     def test_cost_vector_matches_cost(self, mat):
         qs = [
             Query((RangePredicate("l_shipdate", lo=100, hi=200),)),
             Query((InPredicate("c_mktsegment", frozenset({"BUILDING"})),)),
         ]
-        cv = mat.cost_vector(qs)
+        cv = mat.cost_vector(compile_queries(qs))
         assert cv.shape == (2,)
         assert cv[0] == mat.cost(qs[0]) and cv[1] == mat.cost(qs[1])
 

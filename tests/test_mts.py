@@ -93,18 +93,11 @@ class TestTransitions:
 
     def test_stay_on_reset_avoids_move(self):
         # Both states fill simultaneously -> phase reset -> stay, zero moves.
-        r = Reorganizer(["a", "b"], alpha=2, stay_on_reset=True, seed=0)
+        r = Reorganizer(["a", "b"], alpha=2, seed=0)
         for _ in range(4):
             r.observe({"a": 1.0, "b": 1.0})
         assert r.n_moves == 0
         assert r.n_phases >= 2
-
-    def test_forced_move_without_stay_on_reset(self):
-        r = Reorganizer(["a", "b"], alpha=2, stay_on_reset=False, seed=0)
-        for _ in range(40):
-            r.observe({"a": 1.0, "b": 1.0})
-        # Over 20 resets a 2-state uniform draw must move at least once.
-        assert r.n_moves > 0
 
     def test_phase_ends_with_all_counters_full(self):
         r = Reorganizer(["a", "b", "c"], alpha=2, seed=0)
@@ -293,12 +286,11 @@ class TestInvariants:
     @given(
         ops=ops_st,
         gamma=st.sampled_from([0.0, 1.0, 3.0]),
-        stay_on_reset=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_adversarial_add_remove_observe(self, ops, gamma, stay_on_reset, seed):
+    def test_adversarial_add_remove_observe(self, ops, gamma, seed):
         """active ⊆ states, moves land on active states, active counters < α."""
-        r = Reorganizer(["a", "b"], alpha=3.0, gamma=gamma, stay_on_reset=stay_on_reset, seed=seed)
+        r = Reorganizer(["a", "b"], alpha=3.0, gamma=gamma, seed=seed)
         for op in ops:
             n_moves = r.n_moves
             if op[0] == "add":

@@ -59,3 +59,10 @@ class TestTimeBiasedReservoir:
         a.extend(range(300))
         b.extend(range(300))
         assert a.sample() == b.sample()
+
+    def test_long_stream_keeps_admitting(self):
+        """Priorities stay exact on long streams: at the layout manager's
+        λ = 0.01, the sample after 120K adds reaches the last 1K positions."""
+        r = TimeBiasedReservoir(size=50, lam=0.01, seed=2)
+        r.extend(range(120_000))
+        assert max(r.sample()) >= 119_000
