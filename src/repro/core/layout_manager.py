@@ -13,7 +13,9 @@ that set is one computed value, the *candidate stream*:
   later candidate with the same tuple is the first one under its own name.
   The Z-order builds share one :class:`~repro.layouts.zorder.ColumnRanks`:
   each column is ranked on the sample and on the frame once, and a build
-  interleaves those ranks into its cuts and its frame BIDs.
+  interleaves those ranks into its cuts and its frame BIDs. Every
+  candidate's metadata pass reads one
+  :class:`~repro.layouts.metadata.ColumnStore` of the frame.
 - :func:`candidate_stream` — runs a generator over a whole query stream and
   lists, for each position ``t``, the candidates born there as ``(name,
   cost column over the whole stream)``; a repeated Z-order candidate shares
@@ -50,7 +52,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.rtbs import TimeBiasedReservoir
-from repro.layouts.metadata import MaterializedLayout, build_materialized
+from repro.layouts.metadata import ColumnStore, MaterializedLayout, build_materialized
 from repro.layouts.qdtree import build_qdtree
 from repro.layouts.zorder import ColumnRanks, build_zorder, top_queried_columns
 from repro.workload.datasets import DatasetSpec
@@ -68,20 +70,23 @@ def data_sample(pdf: pd.DataFrame, seed: int) -> pd.DataFrame:
     return pdf.sample(n=n, random_state=seed).reset_index(drop=True)
 
 
-def materialize(pdf: pd.DataFrame, spec: DatasetSpec, layout) -> MaterializedLayout:
-    """Partition metadata of ``layout`` (anything with ``assign``) on ``pdf``."""
+def materialize(
+    pdf: pd.DataFrame, spec: DatasetSpec, layout, store: ColumnStore | None = None
+) -> MaterializedLayout:
+    """Partition metadata of ``layout`` (anything with ``assign``) on ``pdf``,
+    whose :class:`ColumnStore` is ``store`` when the caller holds one."""
     return build_materialized(
         pdf, layout.assign(pdf), name=layout.name,
-        categorical_cols=spec.categorical_cols, layout=layout,
+        categorical_cols=spec.categorical_cols, layout=layout, store=store,
     )
 
 
 def build_layout(
     pdf: pd.DataFrame, spec: DatasetSpec, sample: pd.DataFrame, queries: Sequence[Query],
-    k: int, *, layout_kind: str, name: str, seed: int,
+    k: int, *, layout_kind: str, name: str, seed: int, store: ColumnStore | None = None,
 ) -> MaterializedLayout:
     """Build a ``layout_kind`` layout for ``queries`` on ``sample`` and
-    materialize it on ``pdf``."""
+    materialize it on ``pdf`` (through ``store``, if given)."""
     if layout_kind == "qdtree":
         lay = build_qdtree(
             sample, queries, k, categorical_cols=spec.categorical_cols, name=name, seed=seed
@@ -90,7 +95,7 @@ def build_layout(
         lay = build_zorder(sample, queries, k, categorical_cols=spec.categorical_cols, name=name)
     else:
         raise ValueError(f"unknown layout kind {layout_kind!r}")
-    return materialize(pdf, spec, lay)
+    return materialize(pdf, spec, lay, store)
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,8 @@ class CandidateGenerator:
         self.strategy = strategy
         self.window: deque[Query] = deque(maxlen=window)
         self.regen_every = regen_every
-        # Candidate-generation reservoir (uniform, lam=0) for the RS strategy.
+        # Candidate-generation reservoir (uniform, lam=0) for the RS
+        # strategies; "sw" never reads it, so never feeds it.
         self._gen_reservoir = TimeBiasedReservoir(size=window, lam=0.0, seed=seed + 1)
         self.t = 0
         self._seed = seed
@@ -148,13 +154,15 @@ class CandidateGenerator:
         # Each column's rank bound and its sample and frame ranks, computed
         # by the first Z-order build that orders on the column.
         self._ranks = ColumnRanks(self.sample, spec.categorical_cols, pdf)
+        # The frame's columns as every candidate's metadata pass reads them.
+        self._store = ColumnStore(pdf, spec.categorical_cols)
 
     def _build(self, queries: list[Query], tag: str) -> MaterializedLayout:
         name = f"{self.layout_kind}:{tag}@{self.t}"
         if self.layout_kind == "qdtree":
             return build_layout(
                 self.pdf, self.spec, self.sample, queries, self.k,
-                layout_kind="qdtree", name=name, seed=self._seed,
+                layout_kind="qdtree", name=name, seed=self._seed, store=self._store,
             )
         # The window enters a Z-order build only through this tuple.
         cols = top_queried_columns(queries)
@@ -168,14 +176,15 @@ class CandidateGenerator:
         )
         cand = self._zorder_built[cols] = build_materialized(
             self.pdf, self._ranks.frame_bids(lay), name=name,
-            categorical_cols=self.spec.categorical_cols, layout=lay,
+            categorical_cols=self.spec.categorical_cols, layout=lay, store=self._store,
         )
         return cand
 
     def step(self, q: Query) -> list[MaterializedLayout]:
         """Observe one query; return newly generated candidates (often none)."""
         self.window.append(q)
-        self._gen_reservoir.add(q)
+        if self.strategy != "sw":
+            self._gen_reservoir.add(q)
         self.t += 1
         # Wait for at least half a window of history before generating.
         if self.t % self.regen_every != 0 or self.t < max(self.window.maxlen // 2, 1):
@@ -305,6 +314,19 @@ class LayoutManager:
             return 1.0
         return float(np.mean(np.abs(ci - cj)))
 
+    @staticmethod
+    def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """:meth:`distance` between the cost vectors along the last axes of
+        ``a`` and ``b``, broadcast over the leading ones; bit for bit the
+        scalar form, as each row's mean is the same pairwise sum."""
+        if a.shape[-1] == 0:
+            return np.ones(np.broadcast_shapes(a.shape, b.shape)[:-1])
+        return np.abs(a - b).mean(axis=-1)
+
+    def _sample_costs(self, sample: np.ndarray) -> np.ndarray:
+        """(S × s) costs of the states in the space at the ``sample`` positions."""
+        return np.stack([self.columns[s][sample] for s in self.space])
+
     def step(self, t: int, current_state: str) -> list[StateEvent]:
         """Observe query ``t`` of the stream; emit add/remove state events."""
         self.eval_reservoir.add(t)
@@ -312,10 +334,8 @@ class LayoutManager:
         for name, col in self.births[t]:
             self.n_generated += 1
             sample = np.asarray(self.eval_reservoir.sample(), dtype=np.intp)
-            dists = [
-                self.distance(col[sample], self.columns[s][sample]) for s in self.space
-            ]
-            if min(dists, default=1.0) >= self.epsilon:
+            # The space is never empty: pruning stops at max_states >= 1.
+            if self.distances(col[sample], self._sample_costs(sample)).min() >= self.epsilon:
                 self.n_admitted += 1
                 self.columns[name] = col
                 self.space.append(name)
@@ -327,15 +347,12 @@ class LayoutManager:
         """Remove the most redundant non-current state when over budget."""
         events: list[StateEvent] = []
         while len(self.space) > self.max_states:
-            vecs = {s: self.columns[s][sample] for s in self.space}
-            victims = [s for s in self.space if s != current_state]
-            # Redundancy of s = distance to its nearest neighbour in the space.
-            def nearest(s: str) -> float:
-                return min(
-                    self.distance(vecs[s], vecs[o]) for o in self.space if o != s
-                )
-
-            victim = min(victims, key=lambda s: (nearest(s), s))
+            costs = self._sample_costs(sample)
+            # Redundancy of a state = distance to its nearest neighbour in the space.
+            dist = self.distances(costs[:, None], costs[None])
+            np.fill_diagonal(dist, np.inf)
+            nearest = dist.min(axis=1)
+            _, victim = min((nearest[i], s) for i, s in enumerate(self.space) if s != current_state)
             self.space.remove(victim)
             events.append(StateEvent("remove", victim))
         return events

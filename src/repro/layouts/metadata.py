@@ -15,17 +15,32 @@ underlying dataset" (§VI-A1). This module is that machinery:
   keep mask, starting all true, narrowed predicate by predicate on only the
   rows of the queries that carry it (``keep[rows] &= …``): broadcast
   comparisons against the min/max arrays and, per categorical column,
-  ``mask @ presence.T`` after one ``get_indexer`` maps the stream's
-  vocabulary onto the categories; then ``keep @ rows / n_rows``, the
+  ``mask @ presence.T`` over the stream's vocabulary, mapped onto the
+  categories once per stream and categories object
+  (:meth:`~repro.workload.queries.CompiledQueries.vocab_on`) — every layout
+  of one :class:`ColumnStore` shares its categories; then ``keep @ rows /
+  n_rows`` (a float64 product, exact while row sums stay below 2^53), the
   fraction of rows in partitions the metadata cannot prove irrelevant.
   This is the service cost ``c(s, q)`` of the D-UMTS formulation.
   ``cost``, ``relevant_partitions`` and ``relevant_bids`` are the
   one-query calls through the same kernel.
-- :func:`build_materialized` — compute that metadata from a pandas frame
-  plus a BID assignment, the same stats a Parquet writer would put in
-  file footers. Categorical columns are read as dictionary codes through
-  ``astype("category")``: a no-op on the dataset builders' ``Categorical``
-  columns, a one-off coding of any other frame (a Spark batch's strings).
+- :class:`ColumnStore` — the frame's columns in the form the metadata pass
+  reduces, built once per frame: the numeric columns as one (columns ×
+  rows) float64 matrix, kept with NaN as +inf for minima and as −inf for
+  maxima (one shared matrix when the frame has no NaN), and each
+  categorical column as its categories plus its dictionary codes
+  (``astype("category")``: a no-op on the dataset builders' ``Categorical``
+  columns, a one-off coding of any other frame, such as a Spark batch's
+  strings).
+- :func:`build_materialized` — compute that metadata from a store plus a
+  BID assignment, the same stats a Parquet writer would put in file
+  footers. Rows are ordered by a stable argsort of the BIDs in the smallest
+  unsigned dtype that holds them (numpy radix-sorts 8- and 16-bit keys);
+  all numeric columns are reduced by one gather and one
+  ``minimum.reduceat`` / ``maximum.reduceat`` each; each presence matrix
+  is one ``bincount`` of ``bid * V + code``. A caller that materializes
+  many layouts of one frame passes its store (the candidate generator
+  does); any other call builds one for the frame it is given.
 
 Pruning here is *sound by construction*: a partition is skipped only when
 its min/max (or distinct set) is disjoint from a predicate, so skipping can
@@ -78,19 +93,19 @@ class MaterializedLayout:
             values, presence = self.distinct[col]
             # The stream's vocabulary as columns of ``presence``; a value
             # absent from the frame is in no partition.
-            idx = values.get_indexer(vocab)
-            hit = idx >= 0
+            hit, idx = stream.vocab_on(col, values)
             pres = np.zeros((self.n_partitions, len(vocab)), dtype=np.float32)
-            pres[:, hit] = presence[:, idx[hit]]
+            pres[:, hit] = presence[:, idx]
             for rows, mask in slots:
                 keep[rows] &= mask @ pres.T > 0
         return keep
 
     def _cost(self, keep: np.ndarray) -> np.ndarray:
-        """Fraction of rows in the kept partitions: an exact integer row sum."""
+        """Fraction of rows in the kept partitions. The row sums are integers
+        below 2^53, so the float64 product is exact."""
         if self.n_rows == 0:
             return np.zeros(keep.shape[:-1])
-        return keep.astype(np.int64) @ self.rows / self.n_rows
+        return keep.astype(np.float64) @ self.rows.astype(np.float64) / self.n_rows
 
     def relevant_partitions(self, query: Query) -> np.ndarray:
         """Boolean mask over partitions that must be read for ``query``."""
@@ -110,6 +125,47 @@ class MaterializedLayout:
         return self._cost(self._keep(stream))
 
 
+class ColumnStore:
+    """One frame's columns as :func:`build_materialized` reduces them.
+
+    - ``numeric_cols`` and ``lows`` / ``highs``: the numeric columns as
+      (columns × rows) float64 matrices, NaN read as +inf in ``lows`` and
+      as −inf in ``highs``, so that NaN never lowers a minimum nor raises a
+      maximum. Without NaN both are the same matrix.
+    - ``categorical``: per categorical column, its categories and its
+      dictionary codes (pandas' small code dtype; −1 for a missing value),
+      and the mask of the rows whose value is present, or ``None`` when
+      none is missing.
+
+    ``numeric_cols`` defaults to every non-categorical column but ``BID``.
+    The frame is treated as immutable: a changed frame needs a new store.
+    """
+
+    def __init__(
+        self,
+        pdf: pd.DataFrame,
+        categorical_cols: tuple[str, ...],
+        numeric_cols: tuple[str, ...] | None = None,
+    ) -> None:
+        if numeric_cols is None:
+            numeric_cols = tuple(c for c in pdf.columns if c not in categorical_cols and c != "BID")
+        self.numeric_cols = tuple(numeric_cols)
+        lows = np.empty((len(numeric_cols), len(pdf)))
+        for j, c in enumerate(numeric_cols):
+            lows[j] = pdf[c].to_numpy(dtype=np.float64)
+        nan = np.isnan(lows)
+        highs = lows
+        if nan.any():
+            highs = np.where(nan, -np.inf, lows)
+            lows[nan] = np.inf
+        self.lows, self.highs = lows, highs
+        self.categorical: dict[str, tuple[pd.Index, np.ndarray, np.ndarray | None]] = {}
+        for c in categorical_cols:
+            cat = pdf[c].astype("category").array
+            present = cat.codes >= 0
+            self.categorical[c] = (cat.categories, cat.codes, None if present.all() else present)
+
+
 def build_materialized(
     pdf: pd.DataFrame,
     bids: np.ndarray,
@@ -118,61 +174,58 @@ def build_materialized(
     categorical_cols: tuple[str, ...],
     numeric_cols: tuple[str, ...] | None = None,
     layout: object | None = None,
+    store: ColumnStore | None = None,
 ) -> MaterializedLayout:
     """Compute partition metadata from data + a BID assignment.
 
     ``bids`` must be dense non-negative ints; empty partitions (ids never
     assigned) get zero rows and never match any predicate. ``numeric_cols``
-    defaults to every non-categorical column in ``pdf``.
+    defaults to every non-categorical column in ``pdf``. ``store`` is the
+    :class:`ColumnStore` of ``pdf``, to share across calls on one frame;
+    when given, its columns are the ones reduced, and by default one is
+    built for this call alone.
     """
     bids = np.asarray(bids)
     if len(bids) != len(pdf):
         raise ValueError("bids length must match the frame")
+    if store is None:
+        store = ColumnStore(pdf, categorical_cols, numeric_cols)
     n_parts = int(bids.max()) + 1 if len(bids) else 0
-    if numeric_cols is None:
-        numeric_cols = tuple(
-            c for c in pdf.columns if c not in categorical_cols and c != "BID"
-        )
 
-    rows = np.bincount(bids, minlength=n_parts).astype(np.int64)
-    order = np.argsort(bids, kind="stable")
-    sorted_bids = bids[order]
-    # Partition boundaries in the sorted order: contiguous slices per BID.
-    bounds = np.searchsorted(sorted_bids, np.arange(n_parts + 1))
-
-    # NaN-ignoring reductions over each non-empty partition's slice: NaN never
-    # satisfies a range predicate, so an all-NaN (or empty) partition keeps
-    # the empty range (inf, -inf) and is never read for one.
+    rows = np.bincount(bids, minlength=n_parts).astype(np.int64)  # rejects a negative BID
+    # A stable sort of keys of at most 16 bits is a radix sort.
+    order = np.argsort(bids.astype(np.min_scalar_type(max(n_parts - 1, 0))), kind="stable")
+    # Each non-empty partition is one contiguous slice of the sorted rows.
     filled = rows > 0
-    starts = bounds[:-1][filled]
-    mins: dict[str, np.ndarray] = {}
-    maxs: dict[str, np.ndarray] = {}
-    for c in numeric_cols:
-        v = pdf[c].to_numpy(dtype=np.float64)[order]
-        lo = np.full(n_parts, np.inf)
-        hi = np.full(n_parts, -np.inf)
-        if len(starts):
-            lo[filled] = np.fmin.reduceat(v, starts)
-            hi[filled] = np.fmax.reduceat(v, starts)
-        mins[c] = np.where(np.isnan(lo), np.inf, lo)
-        maxs[c] = np.where(np.isnan(hi), -np.inf, hi)
+    starts = (np.cumsum(rows) - rows)[filled]
+
+    # An empty partition, or one whose values are all NaN, keeps the empty
+    # range (inf, -inf): no range predicate reads it.
+    lo = np.full((len(store.numeric_cols), n_parts), np.inf)
+    hi = np.full((len(store.numeric_cols), n_parts), -np.inf)
+    if len(starts):
+        lows = np.take(store.lows, order, axis=1)
+        highs = lows if store.highs is store.lows else np.take(store.highs, order, axis=1)
+        lo[:, filled] = np.minimum.reduceat(lows, starts, axis=1)
+        hi[:, filled] = np.maximum.reduceat(highs, starts, axis=1)
 
     distinct: dict[str, tuple[pd.Index, np.ndarray]] = {}
-    for c in categorical_cols:
-        cat = pdf[c].astype("category").array
-        codes = cat.codes
-        present = codes >= 0  # a missing value has code -1
-        presence = np.zeros((n_parts, len(cat.categories)), dtype=bool)
-        presence[bids[present], codes[present]] = True
-        distinct[c] = (cat.categories, presence)
+    flat = bids.astype(np.intp, copy=False)
+    for c, (categories, codes, present) in store.categorical.items():
+        n_vals = len(categories)
+        key = flat * n_vals + codes
+        if present is not None:  # a missing value (code -1) is in no partition
+            key = key[present]
+        counts = np.bincount(key, minlength=n_parts * n_vals)
+        distinct[c] = (categories, counts.reshape(n_parts, n_vals) > 0)
 
     return MaterializedLayout(
         name=name,
         n_partitions=n_parts,
         n_rows=len(pdf),
         rows=rows,
-        mins=mins,
-        maxs=maxs,
+        mins=dict(zip(store.numeric_cols, lo)),
+        maxs=dict(zip(store.numeric_cols, hi)),
         distinct=distinct,
         layout=layout,
     )

@@ -171,10 +171,20 @@ class ZOrderLayout:
 
     def bids(self, ranks: list[np.ndarray]) -> np.ndarray:
         """BID per row of :meth:`ranks`: bucket of its Morton code among the
-        frozen cuts."""
-        return np.searchsorted(
-            np.asarray(self.z_cuts), _interleave(ranks, BITS), side="right"
-        ).astype(np.int64)
+        frozen cuts, the count of cuts at or below it.
+
+        The codes are sorted once and the ascending cuts located among them,
+        which is cheaper than locating every unsorted code among the cuts:
+        the bucket of cuts ``[i - 1, i)`` is one run of the sorted codes.
+        """
+        z = _interleave(ranks, BITS)
+        order = np.argsort(z)
+        ends = np.searchsorted(z[order], self.z_cuts, side="left")
+        out = np.empty(len(z), dtype=np.int64)
+        out[order] = np.repeat(
+            np.arange(self.n_partitions, dtype=np.int64), np.diff(ends, prepend=0, append=len(z))
+        )
+        return out
 
     def assign(self, pdf: pd.DataFrame) -> np.ndarray:
         """BID per row."""

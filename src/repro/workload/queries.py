@@ -22,7 +22,7 @@ their stream positions, so costing touches only those queries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -134,9 +134,28 @@ class CompiledQueries:
     queries: tuple[Query, ...]
     ranges: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     ins: dict[str, tuple[tuple[str, ...], tuple[tuple[np.ndarray, np.ndarray], ...]]]
+    # (col, id(categories)) -> (categories, hit, idx) of :meth:`vocab_on`;
+    # holding the categories keeps their id from being reused.
+    _vocab_maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.queries)
+
+    def vocab_on(self, col: str, categories: pd.Index) -> tuple[np.ndarray, np.ndarray]:
+        """The IN vocabulary of ``col`` mapped onto ``categories``: the mask
+        of the vocabulary values among them, and their positions there.
+
+        Computed once per categories object: the layouts materialized from
+        one frame share its categories, so a stream costed against many of
+        them maps its vocabulary once.
+        """
+        key = (col, id(categories))
+        hit = self._vocab_maps.get(key)
+        if hit is None:
+            idx = categories.get_indexer(self.ins[col][0])
+            found = idx >= 0
+            hit = self._vocab_maps[key] = (categories, found, idx[found])
+        return hit[1], hit[2]
 
 
 def compile_queries(queries) -> CompiledQueries:

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.runners import run_greedy, run_regret
 from repro.core import layout_manager
@@ -10,6 +12,7 @@ from repro.core.layout_manager import (
     CandidateGenerator, LayoutManager, StateEvent, candidate_stream, materialize,
 )
 from repro.core.oreo import default_layout, run_oreo
+from repro.core.rtbs import TimeBiasedReservoir
 from repro.layouts.metadata import build_materialized
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
@@ -88,6 +91,23 @@ class TestCandidateGenerator:
         with pytest.raises(ValueError, match=arg):
             make_gen(pdf, **{arg: 0})
 
+    @pytest.mark.parametrize("strategy", ["sw", "rs", "sw+rs"])
+    def test_reservoir_builds_see_every_query(self, pdf, workload, strategy):
+        """An RS build gets the uniform reservoir of every query so far (its
+        own RNG, seeded ``seed + 1``); "sw" never reads it, so never feeds it."""
+        gen = make_gen(pdf, strategy=strategy, seed=3)
+        built = []
+        gen._build = lambda queries, tag: built.append((gen.t, tag, list(queries))) or ()
+        ref = TimeBiasedReservoir(size=100, lam=0.0, seed=4)
+        want = []
+        for q in workload.queries[:300]:
+            ref.add(q)
+            gen.step(q)
+            if gen.t % 50 == 0 and strategy != "sw":
+                want.append((gen.t, ref.sample()))
+        assert [(t, qs) for t, tag, qs in built if tag == "rs"] == want
+        assert len(gen._gen_reservoir) == (0 if strategy == "sw" else 100)
+
 
 class TestLayoutManager:
     def _manager(self, pdf, workload, **kw):
@@ -104,6 +124,29 @@ class TestLayoutManager:
         assert LayoutManager.distance(a, b) == pytest.approx(1.0 / 3)
         assert LayoutManager.distance(a, a) == 0.0
         assert LayoutManager.distance(np.array([]), np.array([])) == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.sampled_from([0, 1, 7, 8, 9, 50, 129]),
+        n_states=st.integers(1, 10),
+        levels=st.sampled_from([3, 97, 0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_distances_equal_the_scalar_form(self, size, n_states, levels, seed):
+        """The array form at a birth (one candidate against the space) and at
+        a prune (the space against itself) equals :meth:`distance` bit for
+        bit. The sizes cross numpy's pairwise-sum blocks (8 and 128); costs
+        are drawn on a coarse grid (ties) or anywhere in [0, 1] (levels 0)."""
+        rng = np.random.default_rng(seed)
+        costs = rng.random((n_states + 1, size))
+        if levels:
+            costs = np.round(costs * levels) / levels
+        cand, space = costs[0], costs[1:]
+        at_birth = LayoutManager.distances(cand, space)
+        assert at_birth.shape == (n_states,)
+        assert at_birth.tolist() == [LayoutManager.distance(cand, v) for v in space]
+        pairwise = LayoutManager.distances(space[:, None], space[None])
+        assert pairwise.tolist() == [[LayoutManager.distance(a, b) for b in space] for a in space]
 
     def test_epsilon_one_admits_nothing(self, pdf, workload):
         man, init = self._manager(pdf, workload, epsilon=1.0)

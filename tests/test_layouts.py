@@ -12,7 +12,7 @@ from repro.layouts.fixed import build_fixed
 from repro.layouts.metadata import build_materialized
 from repro.layouts.qdtree import CatCut, NumCut, build_qdtree, harvest_cuts
 from repro.layouts.zorder import (
-    BITS, _interleave, build_zorder, sorted_quantiles, top_queried_columns,
+    BITS, ZOrderLayout, _interleave, build_zorder, sorted_quantiles, top_queried_columns,
 )
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
@@ -477,6 +477,25 @@ def test_interleave_equals_the_bit_loop(n_cols, bits, n, seed):
     codes = [g.integers(0, 1 << bits, n) for _ in range(n_cols)]
     codes[0][0] = (1 << bits) - 1  # the top code sets every bit
     np.testing.assert_array_equal(_interleave(codes, bits), _bit_loop_interleave(codes, bits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 300),
+    n_cuts=st.integers(0, 23),
+    span=st.sampled_from([4, 64, 1 << BITS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bids_equal_searchsorted_of_every_code(n, n_cuts, span, seed):
+    """BIDs from one sort of the codes are the bucket of each code among the
+    cuts, including codes equal to a cut, below the first and past the last."""
+    g = np.random.default_rng(seed)
+    ranks = [g.integers(0, span, n), g.integers(0, span, n)]
+    z = _interleave(ranks, BITS)
+    pool = np.concatenate([z, g.integers(0, 1 << (2 * BITS), n_cuts)])
+    cuts = tuple(int(c) for c in np.unique(g.choice(pool, n_cuts))) if len(pool) and n_cuts else ()
+    lay = ZOrderLayout(cols=("a", "b"), rank_bounds=((), ()), z_cuts=cuts)
+    np.testing.assert_array_equal(lay.bids(ranks), np.searchsorted(np.asarray(cuts), z, side="right"))
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.layouts.metadata import build_materialized
+from repro.layouts.metadata import ColumnStore, build_materialized
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
 from repro.workload.queries import InPredicate, Query, RangePredicate, compile_queries
@@ -267,3 +267,101 @@ class TestCostModel:
         empty = pd.DataFrame({"x": []})
         m = build_materialized(empty, np.array([], dtype=int), name="e", categorical_cols=())
         assert m.cost(Query((RangePredicate("x", lo=0),))) == 0.0
+
+
+@st.composite
+def _partitioned_frames(draw):
+    """A frame with NaN, signed zeros and missing strings, string columns as
+    object or ``Categorical`` dtype, and BIDs over 1, 256 or 257 partitions
+    (the last crosses the 8-bit sort key), most of them empty."""
+    n_parts = draw(st.sampled_from([1, 256, 257]))
+    bid = st.sampled_from(sorted({b for b in (0, 1, 2, n_parts - 2, n_parts - 1) if 0 <= b < n_parts}))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([np.nan, -1.0, -0.0, 0.0, 2.5]),
+                st.integers(-3, 3),
+                st.sampled_from(["a", "b", "o'b", None]),
+                st.sampled_from(["x", None]),
+                bid,
+            ),
+            max_size=40,
+        )
+    )
+    rows.append((np.nan, 0, None, None, n_parts - 1))  # pins the partition count
+    pdf = pd.DataFrame(
+        {
+            "f": np.array([r[0] for r in rows], dtype=np.float64),
+            "i": np.array([r[1] for r in rows], dtype=np.int64),
+            "s": np.array([r[2] for r in rows], dtype=object),
+            "t": np.array([r[3] for r in rows], dtype=object),
+        }
+    )
+    if draw(st.booleans()):
+        # Spark batches deliver strings as objects; the dataset builders as
+        # ``Categorical``, possibly with a category no row holds.
+        pdf["s"] = pd.Categorical(pdf["s"], categories=["z", "o'b", "b", "a"])
+        pdf["t"] = pdf["t"].astype("category")
+    return pdf, np.array([r[4] for r in rows], dtype=np.int64), n_parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame=_partitioned_frames(), shared=st.booleans())
+def test_build_materialized_equals_a_per_partition_reference(frame, shared):
+    """Row counts, NaN-ignoring min/max (the empty range (inf, -inf) for an
+    empty or all-NaN partition) and the set of present values of each
+    partition equal pandas on that partition's rows, with a store built per
+    call or shared. ``minimum`` may return either zero for -0.0 vs 0.0, so
+    values compare with ``==``."""
+    pdf, bids, n_parts = frame
+    cats = ("s", "t")
+    store = ColumnStore(pdf, cats) if shared else None
+    m = build_materialized(pdf, bids, name="p", categorical_cols=cats, store=store)
+    assert m.n_partitions == n_parts and m.n_rows == len(pdf)
+    assert set(m.mins) == set(m.maxs) == {"f", "i"} and set(m.distinct) == set(cats)
+    groups = dict(list(pdf.groupby(bids)))
+    empty = np.array([p not in groups for p in range(n_parts)])
+    assert not m.rows[empty].any()
+    assert all((m.mins[c][empty] == np.inf).all() and (m.maxs[c][empty] == -np.inf).all() for c in ("f", "i"))
+    assert not any(m.distinct[c][1][empty].any() for c in cats)
+    for p, sub in groups.items():
+        assert m.rows[p] == len(sub)
+        for c in ("f", "i"):
+            v = sub[c].dropna()
+            assert m.mins[c][p] == (v.min() if len(v) else np.inf), (c, p)
+            assert m.maxs[c][p] == (v.max() if len(v) else -np.inf), (c, p)
+        for c in cats:
+            values, presence = m.distinct[c]
+            assert set(values[presence[p]]) == set(sub[c].dropna()), (c, p)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_negative_bids_raise(shared):
+    pdf = pd.DataFrame({"x": [1.0, 2.0, 3.0], "s": ["a", "b", "a"]})
+    store = ColumnStore(pdf, ("s",)) if shared else None
+    with pytest.raises(ValueError):
+        build_materialized(pdf, np.array([0, -1, 1]), name="neg", categorical_cols=("s",), store=store)
+
+
+def test_one_stream_costs_layouts_of_different_categories():
+    """The stream's vocabulary map is per categories object: costing one
+    stream against layouts of frames with different categories, in turn,
+    equals costing each against a fresh compile."""
+    queries = [
+        Query((InPredicate("s", frozenset({"a", "q"})),)),
+        Query((InPredicate("s", frozenset({"c"})),)),
+        Query((InPredicate("s", frozenset({"b", "c"})), InPredicate("s", frozenset({"c"})))),
+    ]
+    frames = [
+        pd.DataFrame({"s": pd.Categorical(["a", "b", "a", "b"])}),
+        pd.DataFrame({"s": pd.Categorical(["c", "b", "z", "c"], categories=["z", "c", "b"])}),
+    ]
+    bids = np.array([0, 1, 1, 2])
+    shared = compile_queries(queries)
+    for _ in range(2):
+        for frame in frames:
+            store = ColumnStore(frame, ("s",))
+            for name in ("one", "two"):
+                m = build_materialized(frame, bids, name=name, categorical_cols=("s",), store=store)
+                want = m.cost_vector(compile_queries(queries))
+                assert np.array_equal(m.cost_vector(shared), want)
