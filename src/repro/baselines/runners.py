@@ -165,7 +165,7 @@ def run_mts_optimal(
     cols = {m.name: m.cost_vector(stream) for m in layouts.values()}
     reorg = Reorganizer(sorted(cols), alpha=alpha, gamma=gamma, seed=seed)
     initial = reorg.current
-    after = [reorg.observe({s: cols[s][t] for s in reorg.states}) for t in range(len(workload))]
+    after = reorg.serve(cols)
     return settle(
         f"mts_optimal:{layout_kind}", cols, initial, after, 0, reorg.total_move, reorg.n_moves,
         n_phases=reorg.n_phases, n_states_max=len(cols),

@@ -328,8 +328,11 @@ class LayoutManager:
         return np.stack([self.columns[s][sample] for s in self.space])
 
     def step(self, t: int, current_state: str) -> list[StateEvent]:
-        """Observe query ``t`` of the stream; emit add/remove state events."""
-        self.eval_reservoir.add(t)
+        """Offer stream positions up to ``t`` to the evaluation reservoir,
+        then judge the candidates born at ``t``; emit add/remove state
+        events. Only a birth reads the reservoir, so a driver may call this
+        at births alone."""
+        self.eval_reservoir.extend(range(self.eval_reservoir.t, t + 1))
         events: list[StateEvent] = []
         for name, col in self.births[t]:
             self.n_generated += 1

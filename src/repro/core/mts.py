@@ -28,10 +28,19 @@ The reorganizer is deliberately decoupled from layout generation: states are
 opaque string keys and service costs arrive from the caller, so the same
 class drives simulations, the Spark end-to-end harness, and the pure-MTS
 unit tests against the DP optimum.
+
+Queries arrive in blocks: :meth:`Reorganizer.serve` takes each state's cost
+slice over a block and returns the state held after each query, exactly as
+if the queries came one at a time (:meth:`Reorganizer.observe` is a block
+of one). A caller that changes the state space between queries serves the
+queries between two changes as one block. :attr:`Reorganizer.phase_start`
+is the first query of the current phase, the range a replayed counter of a
+state added mid-phase sums over.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,42 +138,91 @@ class Reorganizer:
     # -- query processing ---------------------------------------------------
 
     def observe(self, costs: dict[str, float]) -> str:
-        """Process one query with per-state service costs ``costs``.
+        """Process one query with per-state service costs ``costs``; return
+        the state held after it. The one-query case of :meth:`serve`."""
+        return self.serve({s: (c,) for s, c in costs.items()})[0]
 
-        Pays the service cost of the *current* state, updates every active
-        counter (Algorithm 3), and transitions if the current counter fills.
-        Returns the state the system is in after the query (the layout the
-        next query will be served on).
+    def serve(self, costs: Mapping[str, Sequence[float]]) -> list[str]:
+        """Process a block of queries; ``costs[s]`` is state ``s``'s service
+        cost on each query of the block.
+
+        Per query, pays the service cost of the *current* state, adds each
+        active state's cost to its counter (Algorithm 3), and transitions
+        if the current counter fills. Returns the state held after each
+        query (the layout the next query will be served on).
+
+        A counter changes only by additions until it fills, so each active
+        state's counter over the block is one sequential ``np.cumsum``,
+        which gives the same bits as adding one cost at a time; only the
+        fills, the moves and the phase resets are handled one by one, in
+        query order, with the same random draws as one query at a time.
+        Every cost of each state active at the block's start (or at a phase
+        reset inside it) must be present and in [0, 1] over the rest of the
+        block, even after that state fills: a stricter check than one query
+        at a time makes.
         """
-        served = self.current
-        c = costs.get(served)
-        if c is None:
-            raise KeyError(f"no cost provided for current state {served!r}")
-        self.total_service += float(c)
+        costs = {s: np.asarray(c, dtype=float) for s, c in costs.items()}
+        m = len(costs[self.current])
+        after: list[str] = []
+        paid = [np.array([self.total_service])]  # summed in query order
+        start = 0
+        while start < m:
+            start = self._serve_phase(costs, start, m, after, paid)
+        self.total_service = float(np.cumsum(np.concatenate(paid))[-1])
+        return after
 
-        for s in list(self.active):
-            cs = costs.get(s)
-            if cs is None:
-                raise KeyError(f"no cost provided for active state {s!r}")
-            if not (0.0 <= cs <= 1.0):
-                raise ValueError(f"service cost must be in [0,1], got {cs}")
-            self.counters[s] += float(cs)
-        self._phase_len += 1
-        self.active = {s for s in self.active if self.counters[s] < self.alpha}
-
-        if served not in self.active:
+    def _serve_phase(self, costs, start: int, m: int, after: list[str], paid: list) -> int:
+        """Serve block queries from ``start`` until the block or the phase
+        ends; return the first query left. Appends the states held after
+        the queries to ``after`` and their paid costs to ``paid``."""
+        states = sorted(self.active)
+        # Row i: state i's counter, then its counter after each query.
+        cum = np.empty((len(states), m - start + 1))
+        cum[:, 0] = [self.counters[s] for s in states]
+        for i, s in enumerate(states):
+            if len(costs[s]) != m:
+                raise ValueError(f"state {s!r} has {len(costs[s])} costs for a block of {m}")
+            cum[i, 1:] = costs[s][start:]
+        if not ((cum[:, 1:] >= 0.0) & (cum[:, 1:] <= 1.0)).all():
+            raise ValueError("service costs must be in [0,1]")
+        np.cumsum(cum, axis=1, out=cum)
+        # Counters never decrease, so a state fills after as many queries as
+        # its counter stays below α (m: not in this block).
+        fill = ((cum[:, 1:] < self.alpha).sum(axis=1) + start).tolist()
+        # A counter stops where its state fills, else runs to the block's end.
+        stop = np.minimum(fill, m - 1) - start + 1
+        self.counters.update(zip(states, cum[np.arange(len(states)), stop].tolist()))
+        end, run_from = m, start  # run_from: first query served on self.current
+        for j in sorted(set(fill) - {m}):
+            self.active.difference_update(s for s, f in zip(states, fill) if f == j)
+            if self.current in self.active:
+                continue
             if not self.active:
-                # Stay on reset: keep the current layout, no movement cost
-                # (§IV-A).
-                self._reset_phase()
-            else:
-                dst = self._draw_next()
-                self.moves.append(Move(self.t, served, dst))
-                self.total_move += self.alpha
-                self.current = dst
+                end = j + 1
+                break
+            paid.append(costs[self.current][run_from:j + 1])
+            after.extend([self.current] * (j - run_from))
+            dst = self._draw_next()
+            self.moves.append(Move(self.t + j - start, self.current, dst))
+            self.total_move += self.alpha
+            self.current = dst
+            after.append(dst)
+            run_from = j + 1
+        paid.append(costs[self.current][run_from:end])
+        after.extend([self.current] * (end - run_from))
+        self._phase_len += end - start
+        self.t += end - start
+        if not self.active:
+            # Stay on reset: keep the current layout, no movement cost
+            # (§IV-A).
+            self._reset_phase()
+        return end
 
-        self.t += 1
-        return self.current
+    @property
+    def phase_start(self) -> int:
+        """The first query of the current phase: the query after the last
+        phase reset (the next query, after a reset between queries)."""
+        return self.t - self._phase_len
 
     # -- totals -------------------------------------------------------------
 

@@ -2,12 +2,14 @@
 
 Ties the LAYOUT MANAGER and the REORGANIZER together over a query stream:
 
-1. each query is shown to the layout manager, which may emit state
-   add/remove events (new candidate layouts admitted, redundant ones
-   pruned) that are forwarded to the reorganizer;
-2. per-state service costs for the query are computed from partition
-   metadata only and fed to the reorganizer, which updates its counters and
-   possibly decides to reorganize (movement cost α);
+1. at each query where the candidate stream has a birth, the layout manager
+   judges the new candidates and may emit state add/remove events (new
+   candidate layouts admitted, redundant ones pruned) that are forwarded to
+   the reorganizer; no other query changes the state space;
+2. the queries between two births are served as one block: each state's
+   service costs over the block, computed from partition metadata only, go
+   to the reorganizer, which updates its counters and possibly decides to
+   reorganize (movement cost α) at any query of the block;
 3. the *paid* query cost honours the background-reorganization delay Δ:
    when a switch is decided at query t it only takes effect at query t+Δ —
    queries in between are still served on the outgoing layout, while the
@@ -25,13 +27,13 @@ Costing is batched: every candidate of the shared candidate stream
 (:func:`repro.core.layout_manager.candidate_stream`) comes with its cost
 column over the whole stream, so every per-query cost here is entry ``t``
 of a layout's cost column. The columns include queries not yet seen, but
-that changes no decision: at query ``t`` the driver, the layout manager and
-the reorganizer read only entries up to ``t``, exactly the costs the
-per-query calls computed.
+that changes no decision: a decision at query ``t`` reads only entries up
+to ``t``, exactly the costs the per-query calls computed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 import pandas as pd
@@ -85,7 +87,13 @@ def settle(
     """
     n = len(after)
     served = [initial] * min(n, delta + 1) + after[: max(0, n - 1 - delta)]
-    paid = np.array([cols[s][t] for t, s in enumerate(served)], dtype=float)
+    # Each run of queries served on one state is one slice of its column.
+    runs, t = [], 0
+    for s, run in groupby(served):
+        n_run = sum(1 for _ in run)
+        runs.append(cols[s][t:t + n_run])
+        t += n_run
+    paid = np.concatenate(runs, dtype=float) if runs else np.zeros(0)
     return OreoResult(
         method=method, query_costs=paid, reorg_cost=reorg_cost, n_moves=n_moves,
         layout_per_query=served, **stats,
@@ -152,15 +160,18 @@ def run_oreo(
         [init.name], alpha=alpha, gamma=gamma, seed=seed
     )
 
+    # Only a candidate's birth changes the state space: serve the queries
+    # between two births as one block.
     after: list[str] = []
     n_states_max = 1
-    phase_start = 0  # first query of the current phase, for replay init
-    last_phase = reorg.n_phases
-    for t in range(len(workload)):
+    t0 = 0
+    for t in [t for t, born in enumerate(manager.births) if born]:
+        after += reorg.serve({s: cols[s][t0:t] for s in reorg.states})
+        t0 = t
         for ev in manager.step(t, reorg.current):
             if ev.kind == "add":
                 if admit_mode == "replay":
-                    counter = float(cols[ev.name][phase_start:t].sum())
+                    counter = float(cols[ev.name][reorg.phase_start:t].sum())
                 elif admit_mode == "median":
                     counter = reorg.median_counter()
                 else:
@@ -169,11 +180,7 @@ def run_oreo(
             else:
                 reorg.remove_state(ev.name)
         n_states_max = max(n_states_max, len(reorg.states))
-
-        after.append(reorg.observe({s: cols[s][t] for s in reorg.states}))
-        if reorg.n_phases != last_phase:
-            last_phase = reorg.n_phases
-            phase_start = t + 1
+    after += reorg.serve({s: cols[s][t0:] for s in reorg.states})
 
     return settle(
         "oreo", cols, init.name, after, delta, reorg.total_move, reorg.n_moves,

@@ -38,22 +38,31 @@ class TimeBiasedReservoir(Generic[T]):
 
     def add(self, item: T) -> None:
         """Offer one stream item; kept with probability ∝ exp(lam·t)."""
-        u = float(self._rng.random())
+        self.extend((item,))
+
+    def extend(self, items: Iterable[T]) -> None:
+        """Offer ``items`` in order, with one draw of uniforms for all of
+        them: the same stream of random numbers, and the same sample, as
+        one :meth:`add` per item."""
+        items = list(items)
+        t0, self.t = self.t, self.t + len(items)
         # Rank by -log(-log p) of the A-Res priority p = u^(1/w), w =
         # exp(lam*t): lam*t - log(-log u), which grows with p. It calls no
         # exp, so it stays exact on long streams; log(u) * exp(-lam*t)
-        # underflows to -0.0 once lam*t exceeds about 745.
-        key = self.lam * self.t - math.log(-math.log(max(u, 1e-300)))
-        entry = (key, self.t, item)
-        if len(self._heap) < self.size:
-            heapq.heappush(self._heap, entry)
-        elif key > self._heap[0][0]:
-            heapq.heapreplace(self._heap, entry)
-        self.t += 1
-
-    def extend(self, items: Iterable[T]) -> None:
-        for it in items:
-            self.add(it)
+        # underflows to -0.0 once lam*t exceeds about 745. The logs are
+        # ``math.log``'s, as ``np.log`` can differ from it in the last bit.
+        new = [
+            (self.lam * t - math.log(-math.log(max(u, 1e-300))), t, item)
+            for t, u, item in zip(range(t0, self.t), self._rng.random(len(items)).tolist(), items)
+        ]
+        # Keep the top ``size`` entries by (key, t); t is unique, so items
+        # are never compared.
+        heap = self._heap
+        for entry in new:
+            if len(heap) < self.size:
+                heapq.heappush(heap, entry)
+            elif entry > heap[0]:
+                heapq.heapreplace(heap, entry)
 
     def sample(self) -> list[T]:
         """Current sample, oldest-first."""

@@ -115,7 +115,13 @@ class QdTreeLayout:
                 m = pdf[c].to_numpy()[rows] < node.cut.v
             else:
                 if c not in cats:
-                    cats[c] = pdf[c].astype("category").array
+                    # A Categorical column's own codes; an object column
+                    # (as Spark batches carry strings) is coded here.
+                    col = pdf[c]
+                    cats[c] = (
+                        col.array if isinstance(col.dtype, pd.CategoricalDtype)
+                        else col.astype("category").array
+                    )
                 cat = cats[c]
                 # The cut's categories as a code mask; a missing value
                 # (code -1) indexes the trailing False.

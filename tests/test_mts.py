@@ -5,12 +5,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.optimal import offline_opt_dp, schedule_cost
-from repro.core.mts import Reorganizer
+from repro.core.mts import Move, Reorganizer
 
 
 def u(states, c):
     """Uniform cost dict helper."""
     return {s: c for s in states}
+
+
+def reference_observe(r: Reorganizer, costs: dict[str, float]) -> str:
+    """One query at a time, as :meth:`Reorganizer.serve` must behave: the
+    loop it replaced, kept as its reference."""
+    served = r.current
+    c = costs.get(served)
+    if c is None:
+        raise KeyError(f"no cost provided for current state {served!r}")
+    r.total_service += float(c)
+
+    for s in list(r.active):
+        cs = costs.get(s)
+        if cs is None:
+            raise KeyError(f"no cost provided for active state {s!r}")
+        if not (0.0 <= cs <= 1.0):
+            raise ValueError(f"service cost must be in [0,1], got {cs}")
+        r.counters[s] += float(cs)
+    r._phase_len += 1
+    r.active = {s for s in r.active if r.counters[s] < r.alpha}
+
+    if served not in r.active:
+        if not r.active:
+            r._reset_phase()
+        else:
+            dst = r._draw_next()
+            r.moves.append(Move(r.t, served, dst))
+            r.total_move += r.alpha
+            r.current = dst
+
+    r.t += 1
+    return r.current
 
 
 class TestConstruction:
@@ -308,3 +340,103 @@ class TestInvariants:
             assert all(r.counters[s] < r.alpha for s in r.active)
             for mv in r.moves[n_moves:]:
                 assert mv.dst in r.active and mv.dst != mv.src
+
+
+def snapshot(r: Reorganizer) -> dict:
+    """Everything :meth:`Reorganizer.serve` must leave as the reference does."""
+    return {
+        "current": r.current, "states": set(r.states), "active": set(r.active),
+        "counters": dict(r.counters), "moves": list(r.moves), "t": r.t,
+        "n_phases": r.n_phases, "phase_start": r.phase_start,
+        "total_service": r.total_service, "total_move": r.total_move,
+        "last_phase_skip": dict(r._last_phase_skip),
+        "rng": r._rng.bit_generator.state,
+    }
+
+
+between_blocks_st = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"), st.sampled_from(POOL),
+            st.sampled_from(["defer", "replay", "full"]),
+        ),
+        st.tuples(st.just("remove"), st.sampled_from(POOL + ["current"])),
+    ),
+    max_size=3,
+)
+
+
+class TestServe:
+    ALPHA = 2.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 80),
+        grid=st.booleans(),
+        gamma=st.sampled_from([0.0, 1.0, 3.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocks_match_one_query_at_a_time(self, data, n, grid, gamma, seed):
+        """Costs on the grid {0, ¼, ½, 1} make counters hit α exactly; the
+        stream is split at random points, with state additions (deferred,
+        replayed, pre-filled full) and removals (the current state too)
+        between blocks. Every observable, the RNG state included, is equal
+        bit for bit after each block."""
+        rng = np.random.default_rng(seed)
+        costs = (
+            rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, len(POOL))) if grid
+            else rng.random((n, len(POOL)))
+        )
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6)) if n > 1 else [])
+        init = data.draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=4, unique=True))
+        got = Reorganizer(init, alpha=self.ALPHA, gamma=gamma, seed=seed)
+        want = Reorganizer(init, alpha=self.ALPHA, gamma=gamma, seed=seed)
+        for t0, t1 in zip([0] + cuts, cuts + [n]):
+            for op in data.draw(between_blocks_st):
+                if op[0] == "remove":
+                    s = got.current if op[1] == "current" else op[1]
+                    if got.states != {s}:
+                        got.remove_state(s)
+                        want.remove_state(s)
+                    continue
+                j = POOL.index(op[1])
+                counter = {
+                    "defer": None,
+                    "replay": float(costs[got.phase_start:t0, j].sum()),
+                    "full": self.ALPHA + 0.5,
+                }[op[2]]
+                got.add_state(op[1], counter=counter)
+                want.add_state(op[1], counter=counter)
+            block = {s: costs[t0:t1, POOL.index(s)] for s in got.states}
+            after = got.serve(block)
+            assert after == [
+                reference_observe(want, dict(zip(POOL, row.tolist()))) for row in costs[t0:t1]
+            ]
+            assert snapshot(got) == snapshot(want)
+
+    def test_checks_costs_after_a_state_fills(self):
+        """A state active at the block's start has every cost checked, also
+        on queries after it fills."""
+        r = Reorganizer(["a", "b"], alpha=2, seed=0)
+        with pytest.raises(ValueError):
+            r.serve({"a": np.array([0.1, 0.1, 0.1]), "b": np.array([1.0, 1.0, 1.5])})
+
+    def test_rejects_missing_and_short_columns(self):
+        r = Reorganizer(["a", "b"], alpha=2, seed=0)
+        with pytest.raises(KeyError):
+            r.serve({"a": np.zeros(3)})
+        with pytest.raises(ValueError):
+            r.serve({"a": np.zeros(3), "b": np.zeros(2)})
+
+    def test_phase_start_follows_resets(self):
+        """The query after the last reset, inside a block or between blocks."""
+        r = Reorganizer(list("abc"), alpha=2, seed=0)
+        assert r.phase_start == 0
+        r.serve({s: np.ones(5) for s in "abc"})  # all fill at queries 1 and 3
+        assert (r.n_phases, r.phase_start) == (3, 4)
+        cur = r.current
+        r.serve({s: np.full(2, 0.0 if s == cur else 1.0) for s in "abc"})
+        assert r.active == {cur} and r.phase_start == 4
+        r.remove_state(cur)  # empties the active set between queries 6 and 7
+        assert (r.n_phases, r.phase_start) == (4, 7)

@@ -2,9 +2,12 @@
 import numpy as np
 import pytest
 
+from repro.core.layout_manager import LayoutManager
+from repro.core.mts import Reorganizer
 from repro.core.oreo import OreoResult, default_layout, run_oreo, settle
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
+from tests.test_mts import reference_observe
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +123,44 @@ class TestRunOreo:
         # n_states_max counts the reorganizer's total set; pruning keeps the
         # *space* at max_states, transiently +1 while an add/remove settles.
         assert r.n_states_max <= 5
+
+
+def reference_run(pdf, workload, *, admit_mode, alpha, k=16, seed=0):
+    """``run_oreo`` one query at a time: the layout manager sees every query
+    and :func:`tests.test_mts.reference_observe` serves each one."""
+    init = default_layout(pdf, ds.TPCH_LITE, k)
+    man = LayoutManager(pdf, ds.TPCH_LITE, init, workload.compiled, k=k, seed=seed)
+    reorg = Reorganizer([init.name], alpha=alpha, seed=seed)
+    after, phase_start, last_phase = [], 0, reorg.n_phases
+    for t in range(len(workload)):
+        for ev in man.step(t, reorg.current):
+            if ev.kind == "remove":
+                reorg.remove_state(ev.name)
+                continue
+            if admit_mode == "replay":
+                counter = float(man.columns[ev.name][phase_start:t].sum())
+            elif admit_mode == "median":
+                counter = reorg.median_counter()
+            else:
+                counter = None
+            reorg.add_state(ev.name, counter=counter)
+        after.append(reference_observe(reorg, {s: man.columns[s][t] for s in reorg.states}))
+        if reorg.n_phases != last_phase:
+            last_phase, phase_start = reorg.n_phases, t + 1
+    return settle("oreo", man.columns, init.name, after, 0, reorg.total_move, reorg.n_moves,
+                  n_phases=reorg.n_phases)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("admit_mode", ["replay", "median", "defer"])
+def test_blocks_between_births_match_one_query_at_a_time(pdf, workload, admit_mode, seed):
+    """Serving the queries between two candidate births as one block
+    decides and pays exactly as serving them one at a time."""
+    got = run_oreo(pdf, ds.TPCH_LITE, workload, k=16, alpha=5, seed=seed, admit_mode=admit_mode)
+    want = reference_run(pdf, workload, admit_mode=admit_mode, alpha=5, seed=seed)
+    assert got.n_moves > 0 and got.n_phases > 2
+    assert got.layout_per_query == want.layout_per_query
+    assert got.query_costs.tolist() == want.query_costs.tolist()
+    assert (got.reorg_cost, got.n_moves, got.n_phases) == (
+        want.reorg_cost, want.n_moves, want.n_phases
+    )

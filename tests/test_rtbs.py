@@ -1,8 +1,28 @@
 """Unit tests for reservoir-based time-biased sampling (repro.core.rtbs)."""
+import heapq
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rtbs import TimeBiasedReservoir
+
+
+def reference_sample(n: int, *, size: int, lam: float, seed: int):
+    """One heap step per item, as the reservoir sampled before it was
+    batched: the sample of ``range(n)`` and the generator's final state."""
+    rng = np.random.default_rng(seed)
+    heap = []
+    for t in range(n):
+        u = float(rng.random())
+        entry = (lam * t - math.log(-math.log(max(u, 1e-300))), t)
+        if len(heap) < size:
+            heapq.heappush(heap, entry)
+        elif entry[0] > heap[0][0]:
+            heapq.heapreplace(heap, entry)
+    return sorted(t for _, t in heap), rng.bit_generator.state
 
 
 class TestTimeBiasedReservoir:
@@ -66,3 +86,28 @@ class TestTimeBiasedReservoir:
         r = TimeBiasedReservoir(size=50, lam=0.01, seed=2)
         r.extend(range(120_000))
         assert max(r.sample()) >= 119_000
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(0, 700),
+        size=st.sampled_from([1, 5, 50]),
+        lam=st.sampled_from([0.0, 0.01]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_any_chunking_is_one_add_per_item(self, n, size, lam, seed, data):
+        """``extend`` in random chunks, and ``add`` item by item, keep the
+        sample of the one-heap-step-per-item reference and leave the
+        generator in its state."""
+        cuts = sorted(data.draw(st.sets(st.integers(0, n), max_size=8)))
+        chunked = TimeBiasedReservoir(size=size, lam=lam, seed=seed)
+        for a, b in zip([0] + cuts, cuts + [n]):
+            chunked.extend(range(a, b))
+        single = TimeBiasedReservoir(size=size, lam=lam, seed=seed)
+        for t in range(n):
+            single.add(t)
+        want, state = reference_sample(n, size=size, lam=lam, seed=seed)
+        for r in (chunked, single):
+            assert r.sample() == want
+            assert r._rng.bit_generator.state == state
+            assert r.t == n
