@@ -18,10 +18,11 @@ parameters), differing only in the switching policy:
 
 Every driver costs a layout against the whole compiled stream when the
 layout enters its catalog; a per-query cost is then entry ``t`` of that cost
-column. Greedy and Regret read their candidates' columns from the candidate
-stream, whose one memoized entry they share with OREO: the first of them to
-run in a cell builds, materializes and costs each candidate, and the others
-reuse it. Every driver records the layout held after each query and
+column. Greedy and Regret read the candidate stream's catalog — the default
+layout they start on, each candidate's birth position and every layout's
+cost column — whose one memoized entry they share with OREO: the first of
+them to run in a cell builds, materializes and costs each layout, and the
+others reuse it. Every driver records the layout held after each query and
 returns through :func:`repro.core.oreo.settle`.
 """
 from __future__ import annotations
@@ -31,7 +32,7 @@ import pandas as pd
 from repro.baselines.optimal import offline_optimal_schedule
 from repro.core.layout_manager import build_layout, candidate_stream, data_sample
 from repro.core.mts import Reorganizer
-from repro.core.oreo import OreoResult, default_layout, settle
+from repro.core.oreo import OreoResult, settle
 from repro.layouts.metadata import MaterializedLayout
 from repro.workload.datasets import DatasetSpec
 from repro.workload.generator import Workload
@@ -64,24 +65,23 @@ def run_greedy(pdf, spec, workload, *, alpha: float = 80.0, k: int,
                layout_kind: str = "qdtree", window: int = 200,
                regen_every: int = 100, seed: int = 0) -> OreoResult:
     """Greedy baseline: always chase the better window layout (§VI-A3)."""
-    stream = workload.compiled
-    births = candidate_stream(
-        pdf, spec, stream, k=k, layout_kind=layout_kind,
+    cands = candidate_stream(
+        pdf, spec, workload.compiled, k=k, layout_kind=layout_kind,
         window=window, regen_every=regen_every, seed=seed,
     )
-    init = default_layout(pdf, spec, k)
-    cols = {init.name: init.cost_vector(stream)}
-    current, n_moves, after = init.name, 0, []
-    for t, born in enumerate(births):
+    cols, current, n_moves, after = cands.columns, cands.initial, 0, []
+    # Only a birth can switch the layout: the queries between hold it.
+    for t, born in cands.births.items():
+        after += [current] * (t - len(after))
         win = slice(max(0, t + 1 - window), t + 1)
-        for name, col in born:
-            cols[name] = col
-            if col[win].mean() < cols[current][win].mean():
+        for name in born:
+            if cols[name][win].mean() < cols[current][win].mean():
                 current = name
                 n_moves += 1
         after.append(current)
+    after += [current] * (len(workload) - len(after))
     return settle(
-        f"greedy:{layout_kind}", cols, init.name, after, 0, n_moves * alpha, n_moves,
+        f"greedy:{layout_kind}", cols, cands.initial, after, 0, n_moves * alpha, n_moves,
         n_candidates=len(cols) - 1,
     )
 
@@ -90,22 +90,18 @@ def run_regret(pdf, spec, workload, *, alpha: float = 80.0, k: int,
                layout_kind: str = "qdtree", window: int = 200,
                regen_every: int = 100, seed: int = 0) -> OreoResult:
     """Regret baseline: switch when retroactive savings exceed α (§VI-A3)."""
-    stream = workload.compiled
-    births = candidate_stream(
-        pdf, spec, stream, k=k, layout_kind=layout_kind,
+    cands = candidate_stream(
+        pdf, spec, workload.compiled, k=k, layout_kind=layout_kind,
         window=window, regen_every=regen_every, seed=seed,
     )
-    init = default_layout(pdf, spec, k)
-    cols = {init.name: init.cost_vector(stream)}
-    current, n_moves, after = init.name, 0, []
+    cols, current, n_moves, after = cands.columns, cands.initial, 0, []
     # Cumulative saving of each alternative vs current, reset on every switch.
     savings: dict[str, float] = {}
-    for t, born in enumerate(births):
+    for t in range(len(workload)):
         cur_cost = cols[current][t]
         for alt in savings:
             savings[alt] += cur_cost - cols[alt][t]
-        for name, col in born:
-            cols[name] = col
+        for name in cands.births.get(t, ()):
             savings[name] = 0.0
             while len(savings) > REGRET_MAX_ALTS:
                 savings.pop(next(iter(savings)))
@@ -117,7 +113,7 @@ def run_regret(pdf, spec, workload, *, alpha: float = 80.0, k: int,
                 savings = dict.fromkeys(savings, 0.0)
         after.append(current)
     return settle(
-        f"regret:{layout_kind}", cols, init.name, after, 0, n_moves * alpha, n_moves,
+        f"regret:{layout_kind}", cols, cands.initial, after, 0, n_moves * alpha, n_moves,
         n_candidates=len(cols) - 1,
     )
 

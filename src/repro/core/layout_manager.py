@@ -17,28 +17,32 @@ that set is one computed value, the *candidate stream*:
   candidate's metadata pass reads one
   :class:`~repro.layouts.metadata.ColumnStore` of the frame.
 - :func:`candidate_stream` — runs a generator over a whole query stream and
-  lists, for each position ``t``, the candidates born there as ``(name,
-  cost column over the whole stream)``; a repeated Z-order candidate shares
-  the first one's column. The layouts themselves are dropped.
+  returns its :class:`CandidateStream`, the one catalog of layouts every
+  online method reads: the name of the default layout (built and costed
+  once per stream), each layout's cost column over the whole stream (a
+  repeated Z-order candidate shares the first one's array), and the
+  positions where candidates are born. The layouts themselves are dropped.
   It holds one memoized entry, so the first online method of a cell (OREO,
   Greedy or Regret with the same parameters) builds, materializes and costs
-  each candidate, and the others reuse it. An entry is reused only for the
-  same frame object and the same ``Query`` objects; frames are treated as
-  immutable, as :class:`MaterializedLayout` already assumes.
-- :class:`LayoutManager` — Algorithm 5: reads the candidate stream next to
-  an R-TBS evaluation reservoir; a new candidate is *admitted* to the
-  dynamic state space only if the normalized L1 distance between its
-  query-cost vector and that of every existing state (both evaluated on the
-  R-TBS sample) is at least ε. When the state space exceeds
-  ``max_states``, the non-current state closest to the remainder of the
-  space is pruned (a state-removal query to the reorganizer).
+  the default layout and each candidate, and the others reuse them. An
+  entry is reused only for the same frame object and the same ``Query``
+  objects; frames are treated as immutable, as :class:`MaterializedLayout`
+  already assumes.
+- :class:`LayoutManager` — Algorithm 5: reads a catalog next to an R-TBS
+  evaluation reservoir; a new candidate is *admitted* to the dynamic state
+  space only if the normalized L1 distance between its query-cost vector
+  and that of every existing state (both evaluated on the R-TBS sample) is
+  at least ε. When the state space exceeds ``max_states``, the non-current
+  state closest to the remainder of the space is pruned (a state-removal
+  query to the reorganizer).
 
 The reservoir holds stream positions, so a cost vector on the sample is an
 index into a column.
 
 Every workload-aware layout in the package is built by :func:`build_layout`
 (a Qd-tree or Z-order layout fitted on a :func:`data_sample`, then
-:func:`materialize`-d on the full dataset).
+:func:`materialize`-d on the full dataset); the workload-oblivious start is
+:func:`default_layout`.
 """
 from __future__ import annotations
 
@@ -52,6 +56,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.rtbs import TimeBiasedReservoir
+from repro.layouts.fixed import build_fixed
 from repro.layouts.metadata import ColumnStore, MaterializedLayout, build_materialized
 from repro.layouts.qdtree import build_qdtree
 from repro.layouts.zorder import ColumnRanks, build_zorder, top_queried_columns
@@ -98,6 +103,11 @@ def build_layout(
     return materialize(pdf, spec, lay, store)
 
 
+def default_layout(pdf: pd.DataFrame, spec: DatasetSpec, k: int) -> MaterializedLayout:
+    """The workload-oblivious starting layout: range-partition by time/key."""
+    return materialize(pdf, spec, build_fixed(pdf, spec.default_sort_col, k))
+
+
 @dataclass(frozen=True)
 class StateEvent:
     """A state-management query issued to the REORGANIZER."""
@@ -142,8 +152,10 @@ class CandidateGenerator:
         self.window: deque[Query] = deque(maxlen=window)
         self.regen_every = regen_every
         # Candidate-generation reservoir (uniform, lam=0) for the RS
-        # strategies; "sw" never reads it, so never feeds it.
+        # strategies; "sw" never reads it, so never feeds it. A build offers
+        # it the queries seen since the last build in one batch.
         self._gen_reservoir = TimeBiasedReservoir(size=window, lam=0.0, seed=seed + 1)
+        self._unoffered: list[Query] = []
         self.t = 0
         self._seed = seed
         self.sample = data_sample(pdf, seed)
@@ -184,7 +196,7 @@ class CandidateGenerator:
         """Observe one query; return newly generated candidates (often none)."""
         self.window.append(q)
         if self.strategy != "sw":
-            self._gen_reservoir.add(q)
+            self._unoffered.append(q)
         self.t += 1
         # Wait for at least half a window of history before generating.
         if self.t % self.regen_every != 0 or self.t < max(self.window.maxlen // 2, 1):
@@ -193,12 +205,22 @@ class CandidateGenerator:
         if self.strategy in ("sw", "sw+rs"):
             out.append(self._build(list(self.window), "sw"))
         if self.strategy in ("rs", "sw+rs"):
+            self._gen_reservoir.extend(self._unoffered)
+            self._unoffered.clear()
             out.append(self._build(self._gen_reservoir.sample(), "rs"))
         return out
 
 
-# The candidates born at each stream position: ``(name, cost column)`` pairs.
-Births = list[tuple[tuple[str, np.ndarray], ...]]
+class CandidateStream(NamedTuple):
+    """The layouts a :class:`CandidateGenerator` offers over one query
+    stream, as every online method reads them."""
+
+    initial: str  # name of the default layout every method starts on
+    # The default layout and every candidate -> its cost column over the
+    # whole stream; a repeated Z-order candidate shares the first one's.
+    columns: dict[str, np.ndarray]
+    # Each position where candidates are born -> their names, ascending.
+    births: dict[int, tuple[str, ...]]
 
 
 class _Entry(NamedTuple):
@@ -208,7 +230,7 @@ class _Entry(NamedTuple):
     key: tuple
     pdf: pd.DataFrame
     queries: tuple[Query, ...]
-    births: Births
+    cands: CandidateStream
 
 
 _held: _Entry | None = None
@@ -225,10 +247,10 @@ def candidate_stream(
     window: int = 200,
     regen_every: int = 100,
     seed: int = 0,
-) -> Births:
-    """The candidates a :class:`CandidateGenerator` with these parameters
-    produces over the compiled query ``stream``: entry ``t`` lists those
-    born at query ``t`` as ``(name, cost column over the whole stream)``.
+) -> CandidateStream:
+    """The default layout and the candidates a :class:`CandidateGenerator`
+    with these parameters produces over the compiled query ``stream``, each
+    with its cost column over the whole stream.
 
     The last result is memoized and reused when ``pdf`` is the same object,
     ``stream`` holds the same ``Query`` objects and the parameters are
@@ -243,25 +265,33 @@ def candidate_stream(
         and len(_held.queries) == len(stream)
         and all(map(operator.is_, _held.queries, stream.queries))
     ):
-        return _held.births
+        return _held.cands
     _held = None  # drop the old entry first: peak memory stays that of one
+    init = default_layout(pdf, spec, k)
+    columns = {init.name: init.cost_vector(stream)}
+    births: dict[int, tuple[str, ...]] = {}
     gen = CandidateGenerator(
         pdf, spec, k=k, layout_kind=layout_kind, strategy=strategy,
         window=window, regen_every=regen_every, seed=seed,
     )
-    births: Births = []
-    costed: dict[str, np.ndarray] = {}  # name of each candidate built -> its column
-    for q in stream.queries:
-        born = []
-        for c in gen.step(q):
-            if c.name in gen.repeat_of:
-                col = costed[gen.repeat_of[c.name]]
-            else:
-                col = costed[c.name] = c.cost_vector(stream)
-            born.append((c.name, col))
-        births.append(tuple(born))
-    _held = _Entry(key, pdf, stream.queries, births)
-    return births
+    for t, q in enumerate(stream.queries):
+        born = gen.step(q)
+        for c in born:
+            first = gen.repeat_of.get(c.name)
+            columns[c.name] = columns[first] if first else c.cost_vector(stream)
+        if born:
+            births[t] = tuple(c.name for c in born)
+    cands = CandidateStream(init.name, columns, births)
+    _held = _Entry(key, pdf, stream.queries, cands)
+    return cands
+
+
+def check_admission_args(epsilon: float, max_states: int) -> None:
+    """Reject :class:`LayoutManager` parameters it cannot run with."""
+    if not (0.0 <= epsilon <= 1.0):
+        raise ValueError("epsilon must be in [0, 1]")
+    if max_states < 1:
+        raise ValueError(f"max_states must be >= 1, got {max_states}")
 
 
 class LayoutManager:
@@ -269,42 +299,23 @@ class LayoutManager:
 
     def __init__(
         self,
-        pdf: pd.DataFrame,
-        spec: DatasetSpec,
-        initial: MaterializedLayout,
-        stream: CompiledQueries,
+        cands: CandidateStream,
         *,
-        k: int,
-        layout_kind: str = "qdtree",
-        strategy: str = "sw",
-        window: int = 200,
-        regen_every: int = 100,
         epsilon: float = 0.08,
         eval_sample_size: int = 50,
         max_states: int = 10,
         seed: int = 0,
     ) -> None:
-        if not (0.0 <= epsilon <= 1.0):
-            raise ValueError("epsilon must be in [0, 1]")
-        if max_states < 1:
-            raise ValueError(f"max_states must be >= 1, got {max_states}")
+        check_admission_args(epsilon, max_states)
         self.epsilon = epsilon
         self.max_states = max_states
-        self.births = candidate_stream(
-            pdf, spec, stream, k=k, layout_kind=layout_kind, strategy=strategy,
-            window=window, regen_every=regen_every, seed=seed,
-        )
+        self.cands = cands
         # Stream positions of a time-biased sample of the queries seen.
         self.eval_reservoir: TimeBiasedReservoir[int] = TimeBiasedReservoir(
             size=eval_sample_size, lam=EVAL_RTBS_LAM, seed=seed + 2
         )
-        # The cost column over the whole stream of every layout ever admitted
-        # (kept so the driver can keep serving on a layout during the
-        # background-reorg delay even after it left the state space).
-        self.columns: dict[str, np.ndarray] = {initial.name: initial.cost_vector(stream)}
-        # The current dynamic state space (subset of ``columns`` keys).
-        self.space: list[str] = [initial.name]
-        self.n_generated = 0
+        # The current dynamic state space (names in ``cands.columns``).
+        self.space: list[str] = [cands.initial]
         self.n_admitted = 0
 
     @staticmethod
@@ -325,7 +336,7 @@ class LayoutManager:
 
     def _sample_costs(self, sample: np.ndarray) -> np.ndarray:
         """(S × s) costs of the states in the space at the ``sample`` positions."""
-        return np.stack([self.columns[s][sample] for s in self.space])
+        return np.stack([self.cands.columns[s][sample] for s in self.space])
 
     def step(self, t: int, current_state: str) -> list[StateEvent]:
         """Offer stream positions up to ``t`` to the evaluation reservoir,
@@ -334,13 +345,12 @@ class LayoutManager:
         at births alone."""
         self.eval_reservoir.extend(range(self.eval_reservoir.t, t + 1))
         events: list[StateEvent] = []
-        for name, col in self.births[t]:
-            self.n_generated += 1
+        for name in self.cands.births.get(t, ()):
             sample = np.asarray(self.eval_reservoir.sample(), dtype=np.intp)
+            cand = self.cands.columns[name][sample]
             # The space is never empty: pruning stops at max_states >= 1.
-            if self.distances(col[sample], self._sample_costs(sample)).min() >= self.epsilon:
+            if self.distances(cand, self._sample_costs(sample)).min() >= self.epsilon:
                 self.n_admitted += 1
-                self.columns[name] = col
                 self.space.append(name)
                 events.append(StateEvent("add", name))
                 events.extend(self._prune(current_state, sample))

@@ -23,12 +23,13 @@ cost of the layout it was served on.
 Costs follow the paper's logical model: service cost = fraction of data
 accessed (∈[0,1]), movement cost = α full-scan equivalents.
 
-Costing is batched: every candidate of the shared candidate stream
-(:func:`repro.core.layout_manager.candidate_stream`) comes with its cost
-column over the whole stream, so every per-query cost here is entry ``t``
-of a layout's cost column. The columns include queries not yet seen, but
-that changes no decision: a decision at query ``t`` reads only entries up
-to ``t``, exactly the costs the per-query calls computed.
+OREO, Greedy and Regret read one catalog of layouts, the memoized
+:func:`~repro.core.layout_manager.candidate_stream`: the default layout they
+start on, each candidate's birth position, and every layout's cost column
+over the whole stream, so every per-query cost here is entry ``t`` of a
+layout's cost column. The columns include queries not yet seen, but that
+changes no decision: a decision at query ``t`` reads only entries up to
+``t``, exactly the costs the per-query calls computed.
 """
 from __future__ import annotations
 
@@ -38,10 +39,10 @@ from itertools import groupby
 import numpy as np
 import pandas as pd
 
-from repro.core.layout_manager import LayoutManager, materialize
+from repro.core.layout_manager import (  # noqa: F401 (default_layout is re-exported)
+    LayoutManager, candidate_stream, check_admission_args, default_layout,
+)
 from repro.core.mts import Reorganizer
-from repro.layouts.fixed import build_fixed
-from repro.layouts.metadata import MaterializedLayout
 from repro.workload.datasets import DatasetSpec
 from repro.workload.generator import Workload
 
@@ -67,11 +68,6 @@ class OreoResult:
     @property
     def total_cost(self) -> float:
         return self.query_cost + self.reorg_cost
-
-
-def default_layout(pdf: pd.DataFrame, spec: DatasetSpec, k: int) -> MaterializedLayout:
-    """The workload-oblivious starting layout: range-partition by time/key."""
-    return materialize(pdf, spec, build_fixed(pdf, spec.default_sort_col, k))
 
 
 def settle(
@@ -137,35 +133,26 @@ def run_oreo(
         raise ValueError(f"unknown admit_mode {admit_mode!r}")
     if delta < 0:
         raise ValueError("delta must be >= 0")
+    check_admission_args(epsilon, max_states)
     if k is None:
         k = max(8, min(64, len(pdf) // 1_000))
-    init = default_layout(pdf, spec, k)
+    cands = candidate_stream(
+        pdf, spec, workload.compiled, k=k, layout_kind=layout_kind, strategy=strategy,
+        window=window, regen_every=regen_every, seed=seed,
+    )
     manager = LayoutManager(
-        pdf,
-        spec,
-        init,
-        workload.compiled,
-        k=k,
-        layout_kind=layout_kind,
-        strategy=strategy,
-        window=window,
-        regen_every=regen_every,
-        epsilon=epsilon,
-        eval_sample_size=eval_sample_size,
-        max_states=max_states,
-        seed=seed,
+        cands, epsilon=epsilon, eval_sample_size=eval_sample_size,
+        max_states=max_states, seed=seed,
     )
-    cols = manager.columns
-    reorg = Reorganizer(
-        [init.name], alpha=alpha, gamma=gamma, seed=seed
-    )
+    cols = cands.columns
+    reorg = Reorganizer([cands.initial], alpha=alpha, gamma=gamma, seed=seed)
 
     # Only a candidate's birth changes the state space: serve the queries
     # between two births as one block.
     after: list[str] = []
     n_states_max = 1
     t0 = 0
-    for t in [t for t, born in enumerate(manager.births) if born]:
+    for t in cands.births:
         after += reorg.serve({s: cols[s][t0:t] for s in reorg.states})
         t0 = t
         for ev in manager.step(t, reorg.current):
@@ -183,7 +170,7 @@ def run_oreo(
     after += reorg.serve({s: cols[s][t0:] for s in reorg.states})
 
     return settle(
-        "oreo", cols, init.name, after, delta, reorg.total_move, reorg.n_moves,
+        "oreo", cols, cands.initial, after, delta, reorg.total_move, reorg.n_moves,
         n_phases=reorg.n_phases, n_states_max=n_states_max,
-        n_candidates=manager.n_generated, n_admitted=manager.n_admitted,
+        n_candidates=len(cols) - 1, n_admitted=manager.n_admitted,
     )

@@ -5,11 +5,10 @@ Qd-tree and Z-order layouts on TPC-H, TPC-DS, Telemetry; headline result is
 OREO beating the static optimized layout by up to 32% in total compute.
 
 We reproduce the full grid in the logical cost model at the paper's stream
-length (30K queries, 20 segments), then convert logical costs to seconds
-with the measured unit times from Table I (logical model: query cost is in
-full-scan units, one reorganization costs α scans — so
-``seconds = query_cost × t_scan + n_moves × t_reorg``). The direct
-end-to-end Spark validation of the cost model itself lives in
+length (30K queries, 20 segments) and report it in logical units: query
+cost in full scans, reorganization cost as α scans per move. Table I
+measures the unit times that would turn these into Spark seconds. The
+direct end-to-end Spark validation of the cost model itself lives in
 ``tests/test_cost_model_validation.py`` and Table I.
 """
 from __future__ import annotations
@@ -62,19 +61,6 @@ def improvement_vs_static(rows: list[dict]) -> list[dict]:
             pct = round((s - r["total_cost"]) / s * 100, 1)
             out.append({"dataset": r["dataset"], "layout": r["layout"], "improvement_pct": pct})
     return out
-
-
-def to_seconds(rows: list[dict], *, t_scan: float, t_reorg: float) -> list[dict]:
-    """Convert logical costs to end-to-end seconds via Table I unit times."""
-    return [
-        {
-            **r,
-            "query_s": round(r["query_cost"] * t_scan, 1),
-            "reorg_s": round(r["n_moves"] * t_reorg, 1),
-            "total_s": round(r["query_cost"] * t_scan + r["n_moves"] * t_reorg, 1),
-        }
-        for r in rows
-    ]
 
 
 def format_table(rows: list[dict]) -> str:

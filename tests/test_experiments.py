@@ -69,11 +69,6 @@ class TestFigure3:
         )
         imps = figure3_endtoend.improvement_vs_static(rows)
         assert len(imps) == 1
-        secs = figure3_endtoend.to_seconds(rows, t_scan=2.0, t_reorg=150.0)
-        for r in secs:
-            assert r["total_s"] == pytest.approx(
-                r["query_cost"] * 2.0 + r["n_moves"] * 150.0, rel=1e-3, abs=0.1
-            )
         text = figure3_endtoend.format_table(rows)
         assert "static" in text
         assert text.endswith(f"OREO vs static [tpch_lite/qdtree]: {imps[0]['improvement_pct']:+.1f}%")

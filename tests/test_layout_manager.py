@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from repro.baselines.runners import run_greedy, run_regret
 from repro.core import layout_manager
 from repro.core.layout_manager import (
-    CandidateGenerator, LayoutManager, StateEvent, candidate_stream, materialize,
+    CandidateGenerator, LayoutManager, candidate_stream, default_layout, materialize,
 )
-from repro.core.oreo import default_layout, run_oreo
+from repro.core.oreo import run_oreo
 from repro.core.rtbs import TimeBiasedReservoir
 from repro.layouts.metadata import build_materialized
 from repro.workload import datasets as ds
@@ -109,15 +109,19 @@ class TestCandidateGenerator:
         assert len(gen._gen_reservoir) == (0 if strategy == "sw" else 100)
 
 
+def born_before(cands, t_end: int) -> list[str]:
+    """Names of the candidates born at positions before ``t_end``, in order."""
+    return [n for t, born in cands.births.items() if t < t_end for n in born]
+
+
 class TestLayoutManager:
     def _manager(self, pdf, workload, **kw):
-        init = default_layout(pdf, ds.TPCH_LITE, 8)
-        args = dict(
-            k=8, window=100, regen_every=50, epsilon=0.08, eval_sample_size=30,
-            max_states=5, seed=0,
-        )
+        args = dict(epsilon=0.08, eval_sample_size=30, max_states=5, seed=0)
         args.update(kw)
-        return LayoutManager(pdf, ds.TPCH_LITE, init, workload.compiled, **args), init
+        cands = candidate_stream(
+            pdf, ds.TPCH_LITE, workload.compiled, k=8, window=100, regen_every=50, seed=0
+        )
+        return LayoutManager(cands, **args), cands.initial
 
     def test_distance_metric(self):
         a, b = np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.5, 0.5])
@@ -151,48 +155,53 @@ class TestLayoutManager:
     def test_epsilon_one_admits_nothing(self, pdf, workload):
         man, init = self._manager(pdf, workload, epsilon=1.0)
         for t in range(300):
-            man.step(t, init.name)
-        assert man.space == [init.name]
-        assert man.n_generated > 0 and man.n_admitted == 0
+            man.step(t, init)
+        assert man.space == [init]
+        assert born_before(man.cands, 300) and man.n_admitted == 0
 
     def test_epsilon_zero_admits_everything(self, pdf, workload):
         man, init = self._manager(pdf, workload, epsilon=0.0, max_states=100)
         for t in range(300):
-            man.step(t, init.name)
-        assert man.n_admitted == man.n_generated > 0
+            man.step(t, init)
+        assert man.n_admitted == len(born_before(man.cands, 300)) > 0
+        assert man.space == [init, *born_before(man.cands, 300)]
 
     def test_admission_events_are_adds(self, pdf, workload):
         man, init = self._manager(pdf, workload, epsilon=0.0, max_states=100)
         evs = []
         for t in range(200):
-            evs.extend(man.step(t, init.name))
-        assert evs and all(e.kind == "add" and e.name in man.columns for e in evs)
+            evs.extend(man.step(t, init))
+        assert evs and all(e.kind == "add" for e in evs)
+        assert [e.name for e in evs] == born_before(man.cands, 200)
 
     def test_max_states_prunes_but_spares_current(self, pdf, workload):
         man, init = self._manager(pdf, workload, epsilon=0.0, max_states=3)
         removed = []
         for t in range(400):
-            for e in man.step(t, init.name):
+            for e in man.step(t, init):
                 if e.kind == "remove":
                     removed.append(e.name)
-        assert len(man.space) <= 3
-        assert init.name in man.space  # the current state is never pruned
-        assert init.name not in removed
+        assert removed and len(man.space) <= 3
+        assert init in man.space  # the current state is never pruned
+        assert init not in removed
 
     def test_catalog_keeps_pruned_layouts(self, pdf, workload):
         man, init = self._manager(pdf, workload, epsilon=0.0, max_states=2)
-        for t in range(400):
-            man.step(t, init.name)
-        # The cost columns only grow; the space is bounded.
-        assert len(man.columns) == man.n_admitted + 1
-        assert len(man.space) <= 2
+        before = dict(man.cands.columns)
+        removed = [e.name for t in range(400) for e in man.step(t, init) if e.kind == "remove"]
+        # Pruning bounds the space; the catalog keeps every column (the
+        # driver may still serve a pruned layout during the Δ delay).
+        assert removed and len(man.space) <= 2
+        assert man.cands.columns.keys() == before.keys()
+        assert all(man.cands.columns[n] is before[n] for n in before)
+        assert set(removed) <= man.cands.columns.keys()
 
     def test_higher_epsilon_admits_fewer(self, pdf, workload):
         admitted = {}
         for eps in (0.02, 0.3):
             man, init = self._manager(pdf, workload, epsilon=eps, max_states=100)
             for t in range(400):
-                man.step(t, init.name)
+                man.step(t, init)
             admitted[eps] = man.n_admitted
         assert admitted[0.3] <= admitted[0.02]
 
@@ -209,28 +218,34 @@ class TestLayoutManager:
 STREAM = dict(k=8, layout_kind="qdtree", strategy="sw", window=100, regen_every=50, seed=0)
 
 
-def assert_same_births(a, b):
-    assert len(a) == len(b)
-    for born_a, born_b in zip(a, b):
-        assert [n for n, _ in born_a] == [n for n, _ in born_b]
-        for (_, ca), (_, cb) in zip(born_a, born_b):
-            np.testing.assert_array_equal(ca, cb)
+def assert_same_catalog(a, b):
+    assert (a.initial, a.births) == (b.initial, b.births)
+    assert a.columns.keys() == b.columns.keys()
+    for name, col in a.columns.items():
+        np.testing.assert_array_equal(col, b.columns[name])
 
 
 class TestCandidateStream:
-    """The one memoized candidate stream shared by the online methods."""
+    """The one memoized catalog shared by the online methods."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
         monkeypatch.setattr(layout_manager, "_held", None)
 
     def test_births_match_the_generator(self, pdf, workload, stream):
-        births = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
+        cands = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
         gen = make_gen(pdf)
-        assert [[n for n, _ in b] for b in births] == [
-            [c.name for c in gen.step(q)] for q in workload.queries
-        ]
-        assert all(isinstance(col, np.ndarray) for b in births for _, col in b)
+        want = {t: tuple(c.name for c in gen.step(q)) for t, q in enumerate(workload.queries)}
+        assert cands.births == {t: names for t, names in want.items() if names}
+        assert list(cands.births) == sorted(cands.births)
+        born = [n for names in cands.births.values() for n in names]
+        assert len(born) > 1 and set(born) <= cands.columns.keys()
+        assert len(cands.columns) == 1 + len(born)
+        init = default_layout(pdf, ds.TPCH_LITE, STREAM["k"])
+        assert cands.initial == init.name and cands.initial not in born
+        np.testing.assert_array_equal(cands.columns[cands.initial], init.cost_vector(stream))
+        for col in cands.columns.values():
+            assert isinstance(col, np.ndarray) and col.shape == (len(stream),)
 
     def test_same_inputs_reuse_the_entry(self, pdf, stream):
         first = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
@@ -260,46 +275,55 @@ class TestCandidateStream:
         assert changed is not base
         layout_manager._held = None
         fresh = candidate_stream(frame, ds.TPCH_LITE, compile_queries(queries), **args)
-        assert_same_births(changed, fresh)
+        assert_same_catalog(changed, fresh)
 
     def test_a_miss_frees_the_held_entry_before_building(self, pdf, stream, monkeypatch):
-        births = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
-        old_col = weakref.ref(next(col for b in births for _, col in b))
-        del births
+        cands = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
+        old_cols = [weakref.ref(col) for col in cands.columns.values()]
+        assert len(old_cols) > 1
+        del cands
         alive_at_build = []
-        orig = CandidateGenerator.step
+        orig = layout_manager.build_materialized
 
-        def step(gen, q):
-            alive_at_build.append(old_col() is not None)
-            return orig(gen, q)
-
-        monkeypatch.setattr(CandidateGenerator, "step", step)
-        candidate_stream(pdf, ds.TPCH_LITE, stream, **{**STREAM, "seed": 1})
-        assert alive_at_build and not any(alive_at_build)
-
-    def test_a_cell_builds_each_candidate_once(self, pdf, workload, stream, monkeypatch):
-        built = []
-        orig = layout_manager.build_qdtree
-
-        def counting(*args, **kwargs):
-            built.append(kwargs["name"])
+        def build(*args, **kwargs):
+            alive_at_build.append(any(ref() is not None for ref in old_cols))
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(layout_manager, "build_qdtree", counting)
+        # Every layout of a stream, the default one first, is materialized
+        # through this name.
+        monkeypatch.setattr(layout_manager, "build_materialized", build)
+        candidate_stream(pdf, ds.TPCH_LITE, stream, **{**STREAM, "seed": 1})
+        assert len(alive_at_build) > 1 and not any(alive_at_build)
+
+    def test_a_cell_builds_each_candidate_once(self, pdf, workload, stream, monkeypatch):
+        built, fixed = [], []
+        for fn, log in (("build_qdtree", built), ("build_fixed", fixed)):
+            orig = getattr(layout_manager, fn)
+
+            def counting(*args, _orig=orig, _log=log, **kwargs):
+                _log.append(kwargs.get("name"))
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(layout_manager, fn, counting)
         kw = dict(k=8, window=100, regen_every=50, seed=0)
-        for run in (run_greedy, run_regret, run_oreo):
-            run(pdf, ds.TPCH_LITE, workload, alpha=20.0, **kw)
-        births = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
-        assert built == [n for b in births for n, _ in b]
+        results = [run(pdf, ds.TPCH_LITE, workload, alpha=20.0, **kw)
+                   for run in (run_greedy, run_regret, run_oreo)]
+        cands = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
+        assert built == [n for born in cands.births.values() for n in born]
+        assert len(fixed) == 1  # one default layout for the three methods
+        assert {r.n_candidates for r in results} == {len(built)}
 
     @pytest.mark.parametrize("bad", [
-        {"max_states": 0}, {"regen_every": 0}, {"window": 0},
+        {"max_states": 0}, {"regen_every": 0}, {"window": 0}, {"epsilon": 1.5},
     ])
-    def test_bad_parameters_fail_before_the_memo(self, pdf, workload, stream, bad):
+    def test_bad_parameters_fail_before_the_memo(self, pdf, workload, stream, bad, monkeypatch):
         held = candidate_stream(pdf, ds.TPCH_LITE, stream, **STREAM)
+        builds = []
+        monkeypatch.setattr(layout_manager, "default_layout", lambda *a: builds.append(a))
+        # Another seed: a stream built before the check would miss the memo.
         with pytest.raises(ValueError, match=next(iter(bad))):
-            run_oreo(pdf, ds.TPCH_LITE, workload, **{**STREAM, **bad})
-        assert layout_manager._held.births is held
+            run_oreo(pdf, ds.TPCH_LITE, workload, **{**STREAM, "seed": 1, **bad})
+        assert layout_manager._held.cands is held and not builds
 
 
 def _segment(cols: tuple[str, str, str], lo: int, n: int = 100) -> list[Query]:
@@ -367,14 +391,16 @@ class TestZOrderRepeats:
 
     def test_candidate_stream_costs_each_tuple_once(self, pdf, queries, calls):
         stream = compile_queries(queries)
-        births = candidate_stream(pdf, ds.TPCH_LITE, stream, **self.ARGS)
-        cols = {name: col for born in births for name, col in born}
-        assert list(cols) == [f"zorder:sw@{t}" for t in (100, 200, 300, 400, 500)]
+        cands = candidate_stream(pdf, ds.TPCH_LITE, stream, **self.ARGS)
+        cols = cands.columns
+        names = [f"zorder:sw@{t}" for t in (100, 200, 300, 400, 500)]
+        assert cands.births == {t - 1: (n,) for t, n in zip((100, 200, 300, 400, 500), names)}
+        assert list(cols) == [cands.initial, *names]
         assert cols["zorder:sw@300"] is cols["zorder:sw@100"]
         assert cols["zorder:sw@400"] is cols["zorder:sw@100"]
         assert cols["zorder:sw@500"] is cols["zorder:sw@200"]
         assert cols["zorder:sw@100"] is not cols["zorder:sw@200"]
-        assert len(calls["build_materialized"]) == 2
+        assert calls["build_materialized"] == [cands.initial, *names[:2]]
         # Each shared column is the cost of the repeat's own layout.
         gen = CandidateGenerator(pdf, ds.TPCH_LITE, **self.ARGS)
         for c in (c for q in queries for c in gen.step(q)):

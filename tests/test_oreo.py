@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.layout_manager import LayoutManager
+from repro.core.layout_manager import LayoutManager, candidate_stream
 from repro.core.mts import Reorganizer
 from repro.core.oreo import OreoResult, default_layout, run_oreo, settle
 from repro.workload import datasets as ds
@@ -128,9 +128,10 @@ class TestRunOreo:
 def reference_run(pdf, workload, *, admit_mode, alpha, k=16, seed=0):
     """``run_oreo`` one query at a time: the layout manager sees every query
     and :func:`tests.test_mts.reference_observe` serves each one."""
-    init = default_layout(pdf, ds.TPCH_LITE, k)
-    man = LayoutManager(pdf, ds.TPCH_LITE, init, workload.compiled, k=k, seed=seed)
-    reorg = Reorganizer([init.name], alpha=alpha, seed=seed)
+    cands = candidate_stream(pdf, ds.TPCH_LITE, workload.compiled, k=k, seed=seed)
+    cols = cands.columns
+    man = LayoutManager(cands, seed=seed)
+    reorg = Reorganizer([cands.initial], alpha=alpha, seed=seed)
     after, phase_start, last_phase = [], 0, reorg.n_phases
     for t in range(len(workload)):
         for ev in man.step(t, reorg.current):
@@ -138,16 +139,16 @@ def reference_run(pdf, workload, *, admit_mode, alpha, k=16, seed=0):
                 reorg.remove_state(ev.name)
                 continue
             if admit_mode == "replay":
-                counter = float(man.columns[ev.name][phase_start:t].sum())
+                counter = float(cols[ev.name][phase_start:t].sum())
             elif admit_mode == "median":
                 counter = reorg.median_counter()
             else:
                 counter = None
             reorg.add_state(ev.name, counter=counter)
-        after.append(reference_observe(reorg, {s: man.columns[s][t] for s in reorg.states}))
+        after.append(reference_observe(reorg, {s: cols[s][t] for s in reorg.states}))
         if reorg.n_phases != last_phase:
             last_phase, phase_start = reorg.n_phases, t + 1
-    return settle("oreo", man.columns, init.name, after, 0, reorg.total_move, reorg.n_moves,
+    return settle("oreo", cols, cands.initial, after, 0, reorg.total_move, reorg.n_moves,
                   n_phases=reorg.n_phases)
 
 
