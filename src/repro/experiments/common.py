@@ -9,11 +9,9 @@ from repro.core.oreo import OreoResult, run_oreo
 from repro.workload import datasets as ds
 from repro.workload.generator import Workload, generate_workload
 
-# Paper defaults (§VI-A3): α=80, window=200, ε=0.08, γ=1.
+# Paper default α=80 (§VI-A3); window=200, ε=0.08 and γ=1 are the defaults
+# of ``run_oreo`` itself.
 ALPHA = 80.0
-WINDOW = 200
-EPSILON = 0.08
-GAMMA = 1.0
 K_PARTITIONS = 24  # paper: 1–2M-row partitions => a few dozen partitions
 SIM_SF = 0.02  # simulation dataset scale (12K rows; metadata-only costing)
 N_SEGMENTS = 20  # paper: 20 template segments

@@ -6,7 +6,9 @@ write) for file sizes 16MB–4GB; α ranged 60×–100×. We measure the same tw
 operations at container-feasible sizes (16/64/256MB by default; pass
 ``sizes_mb=(16, 64, 256, 1024, 4096)`` for the paper's range). Rows are
 TPC-H-lite rows; the row count per target size is calibrated from a probe
-write.
+write. Each size times three scans (mean ± sd) and three reorganizations
+(median, with their min–max); α is the median reorganization over the mean
+scan.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from repro.workload.generator import generate_workload
 
 MB = 1 << 20
 N_SCAN_REPS = 3
+N_REORG_REPS = 3
 
 
 def _dir_size(path: str) -> int:
@@ -91,9 +94,9 @@ def _measure(spark: SparkSession, sizes_mb, workdir: str) -> list[dict]:
         ).layout
         reorgs = [
             reorganize(spark, src, dst_lay, os.path.join(workdir, f"dst_{size_mb}_{i}"))
-            for i in range(2)
+            for i in range(N_REORG_REPS)
         ]
-        reorg_secs = statistics.mean(reorgs)
+        reorg_secs = statistics.median(reorgs)
 
         scan_mean = statistics.mean(scans)
         rows_out.append(
@@ -104,6 +107,8 @@ def _measure(spark: SparkSession, sizes_mb, workdir: str) -> list[dict]:
                 "scan_s": round(scan_mean, 3),
                 "scan_sd": round(statistics.pstdev(scans), 3),
                 "reorg_s": round(reorg_secs, 1),
+                "reorg_min": round(min(reorgs), 1),
+                "reorg_max": round(max(reorgs), 1),
                 "alpha": round(reorg_secs / scan_mean, 1),
             }
         )
@@ -113,7 +118,10 @@ def _measure(spark: SparkSession, sizes_mb, workdir: str) -> list[dict]:
 def format_table(rows: list[dict]) -> str:
     header = ["file size (MB)", "actual MB", "rows", "query (s)", "reorg (s)", "alpha"]
     body = [
-        [r["size_mb"], r["actual_mb"], r["n_rows"], f"{r['scan_s']}±{r['scan_sd']}", r["reorg_s"], r["alpha"]]
+        [
+            r["size_mb"], r["actual_mb"], r["n_rows"], f"{r['scan_s']}±{r['scan_sd']}",
+            f"{r['reorg_s']} ({r['reorg_min']}–{r['reorg_max']})", r["alpha"],
+        ]
         for r in rows
     ]
     return markdown_table(header, body)

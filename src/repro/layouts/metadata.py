@@ -79,15 +79,15 @@ class MaterializedLayout:
     def _keep(self, stream: CompiledQueries) -> np.ndarray:
         """(Q, P) mask of the partitions each query of ``stream`` must read.
 
-        A partition is kept unless some predicate's range misses its min/max
-        or some IN predicate's values miss its distinct values. Columns
-        without stats never prune.
+        A partition is kept unless some column's combined range misses its
+        min/max or some column's combined IN values miss its distinct
+        values. Columns without stats never prune.
         """
         keep = np.ones((len(stream), self.n_partitions), dtype=bool)
         for col, (rows, lo, hi) in stream.ranges.items():
             if col in self.mins:
                 keep[rows] &= (self.maxs[col] >= lo[:, None]) & (self.mins[col] <= hi[:, None])
-        for col, (vocab, slots) in stream.ins.items():
+        for col, (vocab, rows, mask) in stream.ins.items():
             if col not in self.distinct:
                 continue
             values, presence = self.distinct[col]
@@ -96,8 +96,7 @@ class MaterializedLayout:
             hit, idx = stream.vocab_on(col, values)
             pres = np.zeros((self.n_partitions, len(vocab)), dtype=np.float32)
             pres[:, hit] = presence[:, idx]
-            for rows, mask in slots:
-                keep[rows] &= mask @ pres.T > 0
+            keep[rows] &= mask @ pres.T > 0
         return keep
 
     def _cost(self, keep: np.ndarray) -> np.ndarray:

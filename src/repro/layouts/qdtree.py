@@ -24,8 +24,9 @@ and queries at once:
   per numeric column, the queries that filter it with their tightest
   bounds ``[L, H]``, so such a query can touch a node with range
   ``[lo, hi]`` exactly when ``hi >= L and lo <= H``; per categorical
-  column, the window's IN vocabulary and one value mask per IN-predicate
-  slot. The sample's column is coded into that vocabulary
+  column, the window's IN vocabulary and, per query that filters the
+  column, one mask of the values it admits (repeated IN-predicates
+  intersect). The sample's column is coded into that vocabulary
   (``get_indexer``), with one more code for every other or missing value,
   so IN-predicates, cut value sets and a node's distinct values are
   boolean masks over one code space;
@@ -33,10 +34,10 @@ and queries at once:
   ``searchsorted`` of all the column's thresholds into the leaf's sorted
   values, a categorical cut's from its mask times the leaf's code counts;
 - a cut's benefit is ``n1·skip_left + (n_leaf − n1)·skip_right``, where
-  ``skip_*`` counts the queries that can touch the leaf but not that child
-  (a query with two IN-predicates on the column misses a child when
-  either does, so the misses of the IN slots are ORed). The counts are
-  integers, so the result is exact;
+  ``skip_*`` counts the queries that can touch the leaf but not that
+  child: for a categorical cut, those whose mask names none of the leaf's
+  values the cut sends to the child. The counts are integers, so the
+  result is exact;
 - the leaf's cut is the ``argmax`` of the benefit vector in cut order,
   taken only if positive, so ties go to the first cut harvested.
 
@@ -60,6 +61,9 @@ import numpy as np
 import pandas as pd
 
 from repro.workload.queries import InPredicate, Query, RangePredicate, compile_queries
+
+MAX_QUERIES = 64  # a build reads at most this many queries, evenly spaced
+MAX_CUTS = 128  # and at most this many distinct cuts, a seeded subsample
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,7 @@ class QdTreeLayout:
         return bids
 
 
-def harvest_cuts(queries: list[Query] | tuple[Query, ...], max_cuts: int = 128, seed: int = 0) -> list[Cut]:
+def harvest_cuts(queries: list[Query] | tuple[Query, ...], max_cuts: int = MAX_CUTS, seed: int = 0) -> list[Cut]:
     """Extract deduplicated candidate cuts from workload predicates.
 
     Range bound ``lo`` becomes ``col < lo`` (rows below can be skipped for
@@ -169,8 +173,6 @@ def build_qdtree(
     k: int,
     *,
     categorical_cols: tuple[str, ...] = (),
-    max_cuts: int = 128,
-    max_queries: int = 64,
     min_leaf_frac: float = 0.25,
     name: str = "qdtree",
     seed: int = 0,
@@ -179,15 +181,17 @@ def build_qdtree(
 
     ``min_leaf_frac`` bounds leaf size at ``min_leaf_frac * len(sample)/k``
     so partitions stay near the target size (the paper sizes partitions at
-    1–2M rows). Deterministic in ``seed``.
+    1–2M rows). At most ``MAX_QUERIES`` evenly spaced queries of the window
+    are read, and at most ``MAX_CUTS`` of their cuts. Deterministic in
+    ``seed``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     queries = list(queries)
-    if len(queries) > max_queries:
-        step = len(queries) / max_queries
-        queries = [queries[int(i * step)] for i in range(max_queries)]
-    cuts = harvest_cuts(queries, max_cuts=max_cuts, seed=seed)
+    if len(queries) > MAX_QUERIES:
+        step = len(queries) / MAX_QUERIES
+        queries = [queries[int(i * step)] for i in range(MAX_QUERIES)]
+    cuts = harvest_cuts(queries, seed=seed)
     stream = compile_queries(queries)
     for c in stream.ranges:
         if c in categorical_cols:
@@ -199,7 +203,7 @@ def build_qdtree(
     num = {c: sample[c].to_numpy(dtype=np.float64) for c in stream.ranges}
     # A categorical column's codes are its IN vocabulary's positions, plus
     # one code ``V`` for every other value and for a missing one.
-    vocab = {c: v for c, (v, _) in stream.ins.items()}
+    vocab = {c: v for c, (v, _, _) in stream.ins.items()}
     codes = {}
     for c, v in vocab.items():
         at = pd.Index(v).get_indexer(sample[c])
@@ -231,19 +235,11 @@ def build_qdtree(
         return out
 
     def touch_cat(acc: np.ndarray, c: str, dist: np.ndarray) -> np.ndarray:
-        """``acc`` without the queries with an IN-predicate on ``c`` disjoint from ``dist``."""
+        """``acc`` without the queries whose IN values on ``c`` are disjoint from ``dist``."""
+        _, rows, mask = stream.ins[c]
         out = acc.copy()
-        for rows, mask in stream.ins[c][1]:
-            out[rows[~mask[:, dist[:-1]].any(1)]] = False
+        out[rows[~mask[:, dist[:-1]].any(1)]] = False
         return out
-
-    def misses(left: np.ndarray, mask: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Per cut and IN-predicate (a row of ``mask``), whether the predicate
-        names none of the leaf's values ``d`` that the cut sends left (the
-        first ``len(left)`` rows), then none of those it sends right."""
-        p = mask[:, d]
-        hit = left @ p.T
-        return np.concatenate([hit == 0, hit == p.sum(1)])
 
     min_rows = max(1, int(min_leaf_frac * len(sample) / k))
 
@@ -268,8 +264,7 @@ def build_qdtree(
             skip_r = (~((hi[c] >= lo_b) & (v[:, None] <= hi_b))).sum(1)
             ben[idx[ok]] = (n1 * skip_l + (n_leaf - n1) * skip_r)[ok]
         for c, (idx, masks, masks_f) in cat_cuts.items():
-            slots = stream.ins[c][1]
-            q = slots[0][0]  # a query with a k-th IN-predicate on c has a first
+            _, q, mask = stream.ins[c]
             sel = acc[q]
             if not sel.any():
                 continue
@@ -279,16 +274,14 @@ def build_qdtree(
             ok = (n1 >= min_rows) & (n_leaf - n1 >= min_rows)
             if not ok.any():
                 continue
-            # A child skips a selected query when one of the query's
-            # IN-predicates misses all of the child's values.
+            # A child skips a selected query when the query's IN values on
+            # c name none of the leaf's values the cut sends to that child.
             d = dist[c][:-1]
-            left = masks_f[:, d]
-            miss = misses(left, slots[0][1][sel], d)
-            for q_k, mask in slots[1:]:
-                sel_k = acc[q_k]
-                miss[:, np.searchsorted(q[sel], q_k[sel_k])] |= misses(left, mask[sel_k], d)
-            skip = miss.sum(1)
-            ben[idx[ok]] = (n1 * skip[: len(idx)] + (n_leaf - n1) * skip[len(idx) :])[ok]
+            p = mask[sel][:, d]
+            hit = masks_f[:, d] @ p.T
+            skip_l = (hit == 0).sum(1)
+            skip_r = (hit == p.sum(1)).sum(1)
+            ben[idx[ok]] = (n1 * skip_l + (n_leaf - n1) * skip_r)[ok]
         best = int(np.argmax(ben))
         return int(ben[best]), best
 

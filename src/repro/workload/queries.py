@@ -18,7 +18,9 @@ WHERE clause fragment for Spark SQL and the DuckDB oracle.
 metadata cost model can cost a whole stream against a layout in one pass
 (:meth:`repro.layouts.metadata.MaterializedLayout.cost_vector`). Each
 predicate column keeps arrays only for the queries that filter it, with
-their stream positions, so costing touches only those queries.
+their stream positions, so costing touches only those queries. A query's
+predicates on one column combine into one constraint: range bounds into
+the tightest range, IN lists into the intersection of their values.
 """
 from __future__ import annotations
 
@@ -122,18 +124,18 @@ class CompiledQueries:
       ascending stream positions of the queries that filter the column, and
       their combined bounds (``-inf``/``inf`` where a query sets none).
       Repeated range predicates on one column combine as max(lo) / min(hi).
-    - ``ins``: per IN-filtered column, the sorted vocabulary of the values
-      the stream names, and one ``(rows, mask)`` pair per IN-predicate slot:
-      ``rows`` are the positions of the queries with a k-th IN predicate on
-      the column, and ``mask`` (len(rows) × V) is 1 at its values. Masks are
-      float32 so that overlap counts are an exact BLAS product. Two IN
-      predicates on one column stay two overlap tests; their value sets are
-      not intersected.
+    - ``ins``: per IN-filtered column, ``(vocab, rows, mask)``: the sorted
+      vocabulary of every value the stream's IN predicates name, the
+      ascending positions of the queries that filter the column, and a
+      (len(rows) × V) mask that is 1 at the values each query admits.
+      Repeated IN predicates on one column combine by intersecting their
+      value sets; an empty intersection is an all-zero row. Masks are
+      float32 so that overlap counts are an exact BLAS product.
     """
 
     queries: tuple[Query, ...]
     ranges: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ins: dict[str, tuple[tuple[str, ...], tuple[tuple[np.ndarray, np.ndarray], ...]]]
+    ins: dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray]]
     # (col, id(categories)) -> (categories, hit, idx) of :meth:`vocab_on`;
     # holding the categories keeps their id from being reused.
     _vocab_maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -162,9 +164,9 @@ def compile_queries(queries) -> CompiledQueries:
     """Compile ``queries`` (any iterable of :class:`Query`) into arrays."""
     queries = tuple(queries)
     bounds: dict[str, dict[int, list[float]]] = {}  # col -> {i: [lo, hi]}
-    slots: dict[str, list[dict[int, frozenset]]] = {}  # col -> k -> {i: values}
+    sets: dict[str, dict[int, frozenset]] = {}  # col -> {i: values}
+    named: dict[str, set] = {}  # col -> every value an IN predicate names
     for i, q in enumerate(queries):
-        seen: dict[str, int] = {}  # col -> IN predicates on it so far
         for p in q.predicates:
             if isinstance(p, RangePredicate):
                 b = bounds.setdefault(p.col, {}).setdefault(i, [-np.inf, np.inf])
@@ -173,12 +175,9 @@ def compile_queries(queries) -> CompiledQueries:
                 if p.hi is not None:
                     b[1] = min(b[1], p.hi)
             elif isinstance(p, InPredicate):
-                col_slots = slots.setdefault(p.col, [])
-                n = seen.get(p.col, 0)
-                if n == len(col_slots):
-                    col_slots.append({})
-                col_slots[n][i] = p.values
-                seen[p.col] = n + 1
+                by_query = sets.setdefault(p.col, {})
+                by_query[i] = by_query[i] & p.values if i in by_query else p.values
+                named.setdefault(p.col, set()).update(p.values)
             else:
                 raise TypeError(f"unknown predicate type {type(p)}")
 
@@ -187,15 +186,12 @@ def compile_queries(queries) -> CompiledQueries:
         lo_hi = np.array(list(by_query.values()), dtype=np.float64)
         ranges[col] = (np.fromiter(by_query, dtype=np.intp), lo_hi[:, 0], lo_hi[:, 1])
     ins = {}
-    for col, col_slots in slots.items():
-        vocab = tuple(sorted(set().union(*(v for s in col_slots for v in s.values()))))
+    for col, by_query in sets.items():
+        vocab = tuple(sorted(named[col]))
         index = {v: j for j, v in enumerate(vocab)}
-        compiled = []
-        for by_query in col_slots:
-            at = [j for j, values in enumerate(by_query.values()) for _ in values]
-            codes = [index[v] for values in by_query.values() for v in values]
-            mask = np.zeros((len(by_query), len(vocab)), dtype=np.float32)
-            mask[at, codes] = 1
-            compiled.append((np.fromiter(by_query, dtype=np.intp), mask))
-        ins[col] = (vocab, tuple(compiled))
+        at = [j for j, values in enumerate(by_query.values()) for _ in values]
+        codes = [index[v] for values in by_query.values() for v in values]
+        mask = np.zeros((len(by_query), len(vocab)), dtype=np.float32)
+        mask[at, codes] = 1
+        ins[col] = (vocab, np.fromiter(by_query, dtype=np.intp), mask)
     return CompiledQueries(queries, ranges, ins)

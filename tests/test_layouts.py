@@ -239,7 +239,7 @@ def test_qdtree_golden_assignment(name, case):
 # string s, t. case -> (query kind, missing values in s and t, dtype of s
 # and t, (n_partitions, SHA-1 of the BIDs assigned to the frame)).
 EDGE_TREES = {
-    "two-in-one-column": ("two-in-one-column", False, "category", (12, "1dc018a62c833efab8addbf21102ed73c37ccb17")),
+    "two-in-one-column": ("two-in-one-column", False, "category", (12, "4abe10adb764248c0c25adab269dcb4a7b05bf4f")),
     "absent-values": ("absent-values", False, "category", (12, "0ae2b94fee8c63808d8e611e7d9bbb15c666787c")),
     "missing-values": ("mixed", True, "category", (12, "a59021c908a3d243c102bb549106a8512037d767")),
     "object-dtype": ("mixed", True, object, (12, "a59021c908a3d243c102bb549106a8512037d767")),

@@ -2,7 +2,7 @@
 import numpy as np
 import pandas as pd
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.layouts.metadata import ColumnStore, build_materialized
@@ -108,19 +108,26 @@ class TestPruningSoundness:
             ),
             max_size=30,
         ),
-        lo=st.none() | st.sampled_from([-2.0, 0.0, 1.5, 2.5]),
-        hi=st.none() | st.sampled_from([-1.0, 0.0, 2.0, 4.0]),
-        values=st.none() | st.frozensets(st.sampled_from(["a", "b", "o'b", "z"]), min_size=1),
+        bounds=st.lists(
+            st.tuples(
+                st.none() | st.sampled_from([-2.0, 0.0, 1.5, 2.5]),
+                st.none() | st.sampled_from([-1.0, 0.0, 2.0, 4.0]),
+            ).filter(lambda b: b != (None, None)),
+            max_size=2,
+        ),
+        value_sets=st.lists(st.frozensets(st.sampled_from(["a", "b", "o'b", "z"]), min_size=1), max_size=2),
+        order=st.randoms(use_true_random=False),
     )
-    def test_pruned_partition_never_holds_a_match(self, rows, lo, hi, values):
-        """Random frames with NaN, duplicates and empty BIDs, random predicates."""
+    def test_pruned_partition_never_holds_a_match(self, rows, bounds, value_sets, order):
+        """Random frames with NaN, duplicates and empty BIDs; up to two range
+        and two IN predicates on one column each, in any order."""
         pdf = pd.DataFrame(
             {"x": np.array([r[0] for r in rows]), "s": np.array([r[1] for r in rows], dtype=object)}
         )
         bids = np.array([r[2] for r in rows], dtype=np.int64)
-        preds = [] if lo is None and hi is None else [RangePredicate("x", lo=lo, hi=hi)]
-        if values is not None:
-            preds.append(InPredicate("s", values))
+        preds = [RangePredicate("x", lo=lo, hi=hi) for lo, hi in bounds]
+        preds += [InPredicate("s", values) for values in value_sets]
+        order.shuffle(preds)
         q = Query(tuple(preds))
         m = build_materialized(pdf, bids, name="h", categorical_cols=("s",))
         keep = m.relevant_partitions(q)
@@ -128,9 +135,12 @@ class TestPruningSoundness:
 
 
 def reference_keep(m, q: Query, pdf, bids, categorical_cols) -> np.ndarray:
-    """The per-predicate loop the batched kernel replaced. Each partition's
-    distinct values are taken from the frame rows with its BID."""
+    """The per-predicate loop the batched kernel replaced: each range bound
+    narrows on its own, and a column's IN predicates narrow by the
+    intersection of their values. Each partition's distinct values are taken
+    from the frame rows with its BID."""
     keep = np.ones(m.n_partitions, dtype=bool)
+    admitted: dict[str, frozenset] = {}  # column -> values all its IN predicates name
     for p in q.predicates:
         if isinstance(p, RangePredicate):
             if p.col not in m.mins:
@@ -139,11 +149,11 @@ def reference_keep(m, q: Query, pdf, bids, categorical_cols) -> np.ndarray:
                 keep &= m.maxs[p.col] >= p.lo
             if p.hi is not None:
                 keep &= m.mins[p.col] <= p.hi
-        else:
-            if p.col not in categorical_cols:
-                continue
-            sets = [set(pdf[p.col][bids == b]) for b in range(m.n_partitions)]
-            keep &= np.array([not p.values.isdisjoint(s) for s in sets], dtype=bool)
+        elif p.col in categorical_cols:
+            admitted[p.col] = admitted.get(p.col, p.values) & p.values
+    for col, values in admitted.items():
+        sets = [set(pdf[col][bids == b]) for b in range(m.n_partitions)]
+        keep &= np.array([not values.isdisjoint(s) for s in sets], dtype=bool)
     return keep
 
 
@@ -196,6 +206,15 @@ queries_st = st.lists(
         st.builds(RangePredicate, st.just("v"), st.sampled_from([0.0, 1.0]), st.none() | st.sampled_from([0.5, 2.0])),
     ),
     categorical=st.booleans(),
+)
+# Partition 0 holds a value of each IN list but none of both, so only their
+# intersection prunes it.
+@example(
+    rows=[(0.0, 0.0, "a", "a", 0, 0.0), (1.0, 0.0, "b", "c", 0, 0.0)],
+    queries=[Query((InPredicate("s", frozenset("a")), InPredicate("s", frozenset("b"))))],
+    every=None,
+    one=None,
+    categorical=False,
 )
 def test_cost_vector_equals_per_query_reference(rows, queries, every, one, categorical):
     """Batched costing equals the per-predicate loop exactly, on random frames

@@ -4,8 +4,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.layouts.metadata import build_materialized
 from repro.workload.datasets import tpch_lite_pdf
-from repro.workload.queries import InPredicate, Query, RangePredicate
+from repro.workload.queries import InPredicate, Query, RangePredicate, compile_queries
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +133,35 @@ class TestQuery:
             con.close()
         assert sorted(got["name"]) == sorted(pdf["name"][q.mask(pdf)])
         assert len(got) == 3
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [("abc", "bcd"), ("a", "ab"), ("ab", "cd")],
+    ids=["overlapping", "nested", "disjoint"],
+)
+def test_repeated_in_predicates_compile_to_their_intersection(a, b):
+    """``IN A AND IN B`` on one column compiles as ``IN A∩B``: the query's
+    mask row is 1 exactly at the vocabulary values in both sets (all zero
+    when they are disjoint), while the vocabulary keeps every value named,
+    and it costs what ``IN A∩B`` costs. Another query's IN predicate on
+    the column keeps its own values."""
+    a, b = frozenset(a), frozenset(b)
+    other = Query((InPredicate("s", frozenset("ae")),))
+    twice = compile_queries([Query((InPredicate("s", a), RangePredicate("x", lo=0), InPredicate("s", b))), other])
+    vocab, rows, mask = twice.ins["s"]
+    assert vocab == tuple(sorted(a | b | frozenset("ae")))
+    assert rows.tolist() == [0, 1]
+    assert mask.tolist() == [[float(v in a & b) for v in vocab], [float(v in "ae") for v in vocab]]
+
+    # Partition 0 holds a value of A outside B and one of B outside A.
+    pdf = pd.DataFrame({"x": np.arange(6.0), "s": list("adbcee")})
+    m = build_materialized(pdf, np.array([0, 0, 1, 2, 3, 3]), name="m", categorical_cols=("s",))
+    cost = m.cost_vector(twice)
+    if a & b:
+        once = compile_queries([Query((InPredicate("s", a & b), RangePredicate("x", lo=0))), other])
+        assert np.array_equal(once.ins["s"][1], rows)
+        assert np.array_equal(cost, m.cost_vector(once))
+    else:
+        assert cost[0] == 0.0
+    assert cost[1] == m.cost(other)

@@ -25,6 +25,7 @@ from repro.sparkio.runner import (
 )
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
+from repro.workload.queries import InPredicate, Query
 
 SF = 0.005
 
@@ -125,6 +126,23 @@ class TestQueryCorrectness:
         # A spread of workload queries, including ones that prune partitions.
         for q in workload.queries[::17]:
             self._check(spark, table_path, pdf, mat, q)
+
+    @pytest.mark.parametrize(
+        "second", [("MACHINERY", "HOUSEHOLD"), ("AUTOMOBILE", "FURNITURE")], ids=["overlapping", "disjoint"]
+    )
+    def test_two_in_predicates_on_one_column_match_oracle(self, spark, table_path, pdf, qd_layout, second):
+        """Two IN lists on one column prune by their intersection; a disjoint
+        pair reads no partition (an empty ``BID IN ()``) and no row."""
+        mat = build_materialized(
+            pdf,
+            qd_layout.assign(pdf),
+            name="qd",
+            categorical_cols=ds.TPCH_LITE.categorical_cols,
+        )
+        first = InPredicate("c_mktsegment", frozenset({"BUILDING", "MACHINERY"}))
+        q = Query((first, InPredicate("c_mktsegment", frozenset(second))))
+        assert (mat.relevant_bids(q) == []) == first.values.isdisjoint(second)
+        self._check(spark, table_path, pdf, mat, q)
 
     def test_pruning_actually_skips(self, spark, table_path, pdf, qd_layout, workload):
         mat = build_materialized(
