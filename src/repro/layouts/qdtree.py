@@ -16,8 +16,8 @@ the same:
 - benefit uses node-level metadata refined only on the cut column, the
   standard approximation that keeps construction metadata-only.
 
-Each leaf's split search is a handful of array operations over all cuts
-and queries at once:
+Each leaf's split search is a fixed handful of array operations over all
+numeric cuts and queries at once, plus a few per categorical column:
 
 - the window's predicates are compiled once per build by
   :func:`~repro.workload.queries.compile_queries`, as for the cost model:
@@ -30,16 +30,37 @@ and queries at once:
   (``get_indexer``), with one more code for every other or missing value,
   so IN-predicates, cut value sets and a node's distinct values are
   boolean masks over one code space;
+- a leaf's *accessed* queries are those its metadata cannot skip. They are
+  narrowed with the root's spans and, at every split, with the child's span
+  on the cut column, so each accessed query meets the leaf's ``[lo, hi]``
+  on every numeric column. A numeric cut's children span ``[lo, v_prev]``
+  and ``[v, hi]`` (``v_prev`` is the float below ``v``), so the left child
+  skips an accessed query exactly when ``L > v_prev`` and the right one
+  exactly when ``H < v``. Those two tests depend only on the query and the
+  cut, so they are one per-build query × cut *skip matrix* (float32, at
+  most ``MAX_QUERIES`` × 2·``MAX_CUTS``), and a leaf's skip counts for
+  every numeric cut are one product of its accessed mask with it; the
+  counts are at most ``MAX_QUERIES``, so float32 is exact;
 - a numeric cut's left-side row count ``n1`` comes from one
   ``searchsorted`` of all the column's thresholds into the leaf's sorted
-  values, a categorical cut's from its mask times the leaf's code counts;
+  values, done only for columns with a cut that can still score (inside
+  ``(lo, hi]``, some child skipping a query); a categorical cut's from its
+  mask times the leaf's code counts;
 - a cut's benefit is ``n1·skip_left + (n_leaf − n1)·skip_right``, where
-  ``skip_*`` counts the queries that can touch the leaf but not that
-  child: for a categorical cut, those whose mask names none of the leaf's
-  values the cut sends to the child. The counts are integers, so the
-  result is exact;
+  ``skip_*`` counts the accessed queries that cannot touch that child: for
+  a categorical cut, those whose mask names none of the leaf's values the
+  cut sends to the child. The counts are integers, so the result is exact;
 - the leaf's cut is the ``argmax`` of the benefit vector in cut order,
-  taken only if positive, so ties go to the first cut harvested.
+  taken only if positive, so ties go to the first cut harvested. A leaf
+  below ``2·min_rows`` rows has no admissible cut and is not searched, and
+  the split that makes the ``k``-th leaf ends the build without searching
+  its children.
+
+Measured and not kept: ``n1`` as a dense (sample × cut) membership product
+(a 4000 × 128 gemv per leaf costs more than the sorts it saves), and the
+categorical cuts of all columns stacked into one code space with one
+product per leaf (no faster on tpch_lite, slower on tpcds_lite and
+telemetry than the per-column search).
 
 Leaf ranges ignore NaN (an all-NaN range is empty, ``(inf, -inf)``) and NaN
 rows route right (``NaN < v`` is false), both here and in ``assign``. A
@@ -108,6 +129,7 @@ class QdTreeLayout:
         bids = np.empty(len(pdf), dtype=np.int64)
         idx = np.arange(len(pdf))
         stack = [(self.root, idx)]
+        nums = {}  # column -> its values, read once
         cats = {}  # column -> its dictionary codes, as a ``Categorical``
         while stack:
             node, rows = stack.pop()
@@ -116,7 +138,9 @@ class QdTreeLayout:
                 continue
             c = node.cut.col
             if isinstance(node.cut, NumCut):
-                m = pdf[c].to_numpy()[rows] < node.cut.v
+                if c not in nums:
+                    nums[c] = pdf[c].to_numpy()
+                m = nums[c][rows] < node.cut.v
             else:
                 if c not in cats:
                     # A Categorical column's own codes; an object column
@@ -144,22 +168,23 @@ def harvest_cuts(queries: list[Query] | tuple[Query, ...], max_cuts: int = MAX_C
     below ``hi`` land left. If more than ``max_cuts`` distinct cuts exist,
     a uniform subsample is kept (deterministic in ``seed``).
     """
-    cuts: dict[Cut, None] = {}
+    # (col, threshold) or (col, value set), in first-seen order.
+    keys: dict[tuple, None] = {}
     for q in queries:
         for p in q.predicates:
             if isinstance(p, RangePredicate):
                 if p.lo is not None:
-                    cuts.setdefault(NumCut(p.col, float(p.lo)), None)
+                    keys[p.col, float(p.lo)] = None
                 if p.hi is not None:
-                    cuts.setdefault(NumCut(p.col, float(np.nextafter(p.hi, np.inf))), None)
+                    keys[p.col, float(np.nextafter(p.hi, np.inf))] = None
             elif isinstance(p, InPredicate):
-                cuts.setdefault(CatCut(p.col, p.values), None)
-    out = list(cuts)
+                keys[p.col, p.values] = None
+    out = list(keys)
     if len(out) > max_cuts:
         g = np.random.default_rng(seed)
         keep = g.choice(len(out), size=max_cuts, replace=False)
         out = [out[i] for i in sorted(keep)]
-    return out
+    return [NumCut(c, v) if isinstance(v, float) else CatCut(c, v) for c, v in out]
 
 
 def _span(v: np.ndarray) -> tuple[float, float]:
@@ -201,6 +226,7 @@ def build_qdtree(
             raise ValueError(f"IN-predicate on non-categorical column {c!r}")
 
     num = {c: sample[c].to_numpy(dtype=np.float64) for c in stream.ranges}
+    col_at = {c: j for j, c in enumerate(num)}  # position in a leaf's lo/hi
     # A categorical column's codes are its IN vocabulary's positions, plus
     # one code ``V`` for every other value and for a missing one.
     vocab = {c: v for c, (v, _, _) in stream.ins.items()}
@@ -214,12 +240,29 @@ def build_qdtree(
     by_col: dict[str, list[int]] = {}
     for i, cut in enumerate(cuts):
         by_col.setdefault(cut.col, []).append(i)
-    num_cuts, cat_cuts, in_cut = {}, {}, {}
+    # Numeric cuts laid out column by column: their positions in ``cuts``,
+    # their columns' positions, ``v`` and ``v_prev``; column c's cuts are
+    # ``seg[c]``. ``G[q, i]`` is 1 when query q filters cut i's column with
+    # ``L > v_prev`` and ``G[q, n_num + i]`` when with ``H < v``.
+    num_pos = [i for c in num for i in by_col.get(c, ())]
+    n_num = len(num_pos)
+    num_col = np.array([col_at[cuts[i].col] for i in num_pos], dtype=np.intp)
+    v = np.array([cuts[i].v for i in num_pos])
+    v_prev = np.nextafter(v, -np.inf)
+    G = np.zeros((len(stream), 2 * n_num), dtype=np.float32)
+    G_left, G_right = G[:, :n_num], G[:, n_num:]
+    seg, start = {}, 0
+    for c in num:
+        if c in by_col:
+            s = seg[c] = slice(start, start + len(by_col[c]))
+            q, lo_b, hi_b = stream.ranges[c]
+            G_left[q, s] = lo_b[:, None] > v_prev[s]
+            G_right[q, s] = hi_b[:, None] < v[s]
+            start = s.stop
+    starts = [s.start for s in seg.values()]
+    cat_cuts, in_cut = {}, {}
     for c, idx in by_col.items():
-        if c in num:
-            v = np.array([cuts[i].v for i in idx])
-            num_cuts[c] = (np.asarray(idx), v, np.nextafter(v, -np.inf))
-        else:
+        if c not in num:
             code = {x: j for j, x in enumerate(vocab[c])}
             masks = np.zeros((len(idx), len(vocab[c]) + 1), dtype=bool)
             for m, i in zip(masks, idx):
@@ -244,25 +287,27 @@ def build_qdtree(
     min_rows = max(1, int(min_leaf_frac * len(sample) / k))
 
     # A leaf is (sample rows, lo, hi, distinct, accessed): the numeric ranges
-    # and distinct-code masks are refined only on cut columns; ``accessed``
-    # masks the queries that leaf metadata cannot skip.
+    # (arrays by column position) and distinct-code masks are refined only on
+    # cut columns; ``accessed`` masks the queries that leaf metadata cannot
+    # skip, so each of them meets ``[lo, hi]`` on every numeric column.
     def best_split(rows, lo, hi, dist, acc) -> tuple[int, int]:
         """(benefit, index into ``cuts``) of the leaf's best cut."""
         n_leaf = len(rows)
+        if n_leaf < 2 * min_rows:  # no cut leaves both children min_rows
+            return 0, 0
         ben = np.zeros(len(cuts), dtype=np.int64)
-        for c, (idx, v, v_prev) in num_cuts.items():
-            q, lo_b, hi_b = stream.ranges[c]
-            sel = acc[q]
-            ok = (lo[c] < v) & (v <= hi[c])
-            if not sel.any() or not ok.any():
-                continue
-            n1 = np.searchsorted(np.sort(num[c][rows]), v, side="left")
+        if n_num:
+            skip = (acc.astype(np.float32) @ G).astype(np.int64)
+            skip_l, skip_r = skip[:n_num], skip[n_num:]
+            ok = (lo[num_col] < v) & (v <= hi[num_col]) & ((skip_l > 0) | (skip_r > 0))
+            n1 = np.zeros(n_num, dtype=np.int64)
+            for (c, s), live in zip(seg.items(), np.logical_or.reduceat(ok, starts)):
+                if live:
+                    x = num[c][rows]
+                    x.sort()
+                    n1[s] = x.searchsorted(v[s])
             ok &= (n1 >= min_rows) & (n_leaf - n1 >= min_rows)
-            lo_b, hi_b = lo_b[sel], hi_b[sel]
-            # Children's ranges on c: [lo, v_prev] and [v, hi].
-            skip_l = (~((v_prev[:, None] >= lo_b) & (lo[c] <= hi_b))).sum(1)
-            skip_r = (~((hi[c] >= lo_b) & (v[:, None] <= hi_b))).sum(1)
-            ben[idx[ok]] = (n1 * skip_l + (n_leaf - n1) * skip_r)[ok]
+            ben[num_pos] = np.where(ok, n1 * skip_l + (n_leaf - n1) * skip_r, 0)
         for c, (idx, masks, masks_f) in cat_cuts.items():
             _, q, mask = stream.ins[c]
             sel = acc[q]
@@ -295,20 +340,21 @@ def build_qdtree(
         children = []
         for part in (rows[lm], rows[~lm]):
             if isinstance(cut, NumCut):
-                clo, chi = dict(lo), dict(hi)
-                clo[c], chi[c] = _span(num[c][part])
-                children.append((part, clo, chi, dist, touch_num(acc, c, clo[c], chi[c])))
+                j = col_at[c]
+                clo, chi = lo.copy(), hi.copy()
+                clo[j], chi[j] = _span(num[c][part])
+                children.append((part, clo, chi, dist, touch_num(acc, c, clo[j], chi[j])))
             else:
                 cdist = dict(dist)
                 cdist[c] = np.bincount(codes[c][part], minlength=len(dist[c])) > 0
                 children.append((part, lo, hi, cdist, touch_cat(acc, c, cdist[c])))
         return children
 
-    root_lo, root_hi = {}, {}
+    root_lo, root_hi = np.empty(len(num)), np.empty(len(num))
     acc = np.ones(len(stream), dtype=bool)
-    for c in num:
-        root_lo[c], root_hi[c] = _span(num[c])
-        acc = touch_num(acc, c, root_lo[c], root_hi[c])
+    for j, c in enumerate(num):
+        root_lo[j], root_hi[j] = _span(num[c])
+        acc = touch_num(acc, c, root_lo[j], root_hi[j])
     root_dist = {}
     for c in codes:
         root_dist[c] = np.bincount(codes[c], minlength=len(vocab[c]) + 1) > 0
@@ -325,16 +371,18 @@ def build_qdtree(
         if ben > 0:
             heapq.heappush(heap, (-ben, next(counter), cuts[i], leaf, node))
 
-    if cuts:
+    if cuts and k > 1:
         push((np.arange(len(sample)), root_lo, root_hi, root_dist, acc), root_node)
     n_leaves = 1
     while n_leaves < k and heap:
         _, _, cut, leaf, node = heapq.heappop(heap)
         node.cut = cut
         node.left, node.right = _Node(), _Node()
-        for child, child_node in zip(split(leaf, cut), (node.left, node.right)):
-            push(child, child_node)
         n_leaves += 1
+        # The k-th leaf ends the build: its children are never searched.
+        if n_leaves < k:
+            for child, child_node in zip(split(leaf, cut), (node.left, node.right)):
+                push(child, child_node)
 
     # Number leaves in deterministic (DFS) order.
     bid = 0

@@ -245,11 +245,23 @@ EDGE_TREES = {
     "object-dtype": ("mixed", True, object, (12, "a59021c908a3d243c102bb549106a8512037d767")),
     "no-in": ("no-in", False, "category", (12, "373172bbd61e54c9d23fe84770b6f02d3231c845")),
     "only-in": ("only-in", False, "category", (12, "3517202c2629d5066fcaab57cbd5f772bfe568d9")),
+    "nan-x": ("mixed", True, "category", (12, "e471070512b6ca1bd9f9b7e1827d5e2ea9e7b1ae")),
+    "all-nan-y": ("no-in", False, "category", (12, "68e36cf1438a510d4e35102b89bf7af9a16b3abf")),
+    "one-sided": ("one-sided", False, "category", (12, "1c0632f0930c8d966be1af12351df7df2881d231")),
+    "deep": ("no-in", True, object, (24, "0f5eea2b34e9df5ec23d20577c9a4368b23cbacc")),
+}
+# case -> (numeric columns with NaN, k, min_leaf_frac) where a case differs
+# from (no NaN, 12, 0.25): "x" puts NaN in about 30% of x, "y" in all of y.
+EDGE_BUILDS = {
+    "nan-x": ("x", 12, 0.25),
+    "all-nan-y": ("xy", 12, 0.25),
+    "one-sided": ("x", 12, 0.25),
+    "deep": ("x", 24, 0.0),
 }
 S_DOMAIN, T_DOMAIN = list("abcdefgh"), ["p", "q", "r", "u"]
 
 
-def _edge_frame(missing: bool) -> pd.DataFrame:
+def _edge_frame(missing: bool, nan: str = "") -> pd.DataFrame:
     g = np.random.default_rng(11)
     n = 1500
     s = g.choice(S_DOMAIN, n).astype(object)
@@ -257,7 +269,12 @@ def _edge_frame(missing: bool) -> pd.DataFrame:
     if missing:
         s[::7] = None
         t[3::11] = np.nan
-    return pd.DataFrame({"x": g.uniform(0, 100, n), "y": g.integers(0, 50, n).astype(float), "s": s, "t": t})
+    x, y = g.uniform(0, 100, n), g.integers(0, 50, n).astype(float)
+    if "x" in nan:
+        x[np.random.default_rng(13).random(n) < 0.3] = np.nan
+    if "y" in nan:
+        y[:] = np.nan
+    return pd.DataFrame({"x": x, "y": y, "s": s, "t": t})
 
 
 def _edge_queries(kind: str) -> list[Query]:
@@ -278,6 +295,11 @@ def _edge_queries(kind: str) -> list[Query]:
             preds = (rng, RangePredicate("y", hi=float(g.integers(5, 45)))) if i % 2 else (rng,)
         elif kind == "only-in":
             preds = (ins, tin) if i % 2 else (ins,)
+        elif kind == "one-sided":
+            # Each range keeps one bound; y's is below, inside or above its domain.
+            xr = RangePredicate("x", lo=rng.lo) if i % 2 else RangePredicate("x", hi=rng.hi)
+            yr = RangePredicate("y", lo=float(g.integers(-10, 60))) if i % 3 else RangePredicate("y", hi=float(g.integers(0, 50)))
+            preds = (xr, yr, ins) if i % 4 == 1 else (xr, yr) if i % 4 == 3 else (xr,) if i % 4 == 2 else (yr, tin)
         else:
             preds = (rng, ins) if i % 2 else (tin, rng)
         out.append(Query(preds))
@@ -287,8 +309,9 @@ def _edge_queries(kind: str) -> list[Query]:
 @pytest.mark.parametrize("case", sorted(EDGE_TREES))
 def test_qdtree_edge_input_assignment(case):
     kind, missing, dtype, want = EDGE_TREES[case]
-    frame = _edge_frame(missing).astype({"s": dtype, "t": dtype})
-    lay = build_qdtree(frame, _edge_queries(kind), 12, categorical_cols=("s", "t"))
+    nan, k, frac = EDGE_BUILDS.get(case, ("", 12, 0.25))
+    frame = _edge_frame(missing, nan).astype({"s": dtype, "t": dtype})
+    lay = build_qdtree(frame, _edge_queries(kind), k, categorical_cols=("s", "t"), min_leaf_frac=frac)
     digest = hashlib.sha1(lay.assign(frame).astype(np.int64).tobytes()).hexdigest()
     assert (lay.n_partitions, digest) == want
 
@@ -593,3 +616,109 @@ def test_assign_is_the_same_on_object_and_categorical_frames(sample_rows, new_ro
         m = build_materialized(frame, bids, name="h", categorical_cols=("s", "t"))
         for q in queries:
             assert not q.mask(frame)[~m.relevant_partitions(q)[bids]].any(), q
+
+
+def _touches(q: Query, ranges: dict, sets: dict) -> bool:
+    """Whether ``q`` can touch a node with numeric ``ranges`` ``(lo, hi)`` and
+    categorical value ``sets``: on each column it filters, the intersection
+    of its predicates meets the node's range or set."""
+    bounds, values = {}, {}
+    for p in q.predicates:
+        if isinstance(p, RangePredicate):
+            lo, hi = bounds.get(p.col, (-np.inf, np.inf))
+            bounds[p.col] = (lo if p.lo is None else max(lo, p.lo), hi if p.hi is None else min(hi, p.hi))
+        else:
+            values[p.col] = values[p.col] & p.values if p.col in values else p.values
+    return all(ranges[c][1] >= lo and ranges[c][0] <= hi for c, (lo, hi) in bounds.items()) and all(
+        sets[c] & v for c, v in values.items()
+    )
+
+
+def _root_benefits(frame: pd.DataFrame, queries, min_rows: int) -> tuple[list, list[int]]:
+    """Each harvested cut's root benefit, by routing the frame: the rows each
+    child gets times the root-touching queries that cannot touch that child.
+    A child's range on a numeric cut column is the root's, cut at ``v``
+    (``[lo, nextafter(v, -inf)]`` and ``[v, hi]``); its value set on a
+    categorical one is the values its rows hold. A numeric cut scores only
+    when both children hold a number, and any cut only when both children
+    hold ``min_rows`` rows."""
+
+    def span(v):
+        v = v[~np.isnan(v)]
+        return (float(v.min()), float(v.max())) if len(v) else (np.inf, -np.inf)
+
+    ranges = {c: span(frame[c].to_numpy(np.float64)) for c in ("x", "y")}
+    sets = {"s": set(frame["s"].dropna())}
+    at_root = [q for q in queries if _touches(q, ranges, sets)]
+    cuts, ben = harvest_cuts(queries), []
+    for cut in cuts:
+        col = frame[cut.col]
+        if isinstance(cut, NumCut):
+            x = col.to_numpy(np.float64)
+            left = x < cut.v
+            if not (x >= cut.v).any() or not left.any():
+                ben.append(0)
+                continue
+        else:
+            left = col.isin(cut.values).to_numpy()
+        n1, n = int(left.sum()), len(frame)
+        if min(n1, n - n1) < min_rows:
+            ben.append(0)
+            continue
+        total = 0
+        for side, rows in ((left, n1), (~left, n - n1)):
+            r, s = dict(ranges), dict(sets)
+            if isinstance(cut, NumCut):
+                lo, hi = ranges[cut.col]
+                r[cut.col] = (lo, float(np.nextafter(cut.v, -np.inf))) if side is left else (cut.v, hi)
+            else:
+                s[cut.col] = set(col[side].dropna())
+            total += rows * sum(not _touches(q, r, s) for q in at_root)
+        ben.append(total)
+    return cuts, ben
+
+
+oracle_queries = st.lists(
+    st.builds(
+        Query,
+        st.lists(
+            st.tuples(
+                st.sampled_from(["x", "y"]),
+                st.sampled_from([None, -np.inf, -1.0, 0.0, 1.5, 5.0]), st.sampled_from([None, 0.0, 2.0, 4.0, 7.0, np.inf]),
+            ).filter(lambda t: t[1] is not None or t[2] is not None).map(lambda t: RangePredicate(*t))
+            | st.builds(InPredicate, st.just("s"), st.frozensets(st.sampled_from(["a", "b", "c", "zz"]), min_size=1, max_size=3)),
+            min_size=1, max_size=3,
+        ).map(tuple),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([np.nan, -np.inf, np.inf, -1.0, 0.0, 1.5, 2.0, 3.0]),
+            st.sampled_from([np.nan, 0.0, 5.0, 7.0]),
+            st.sampled_from(["a", "b", "c", None]),
+        ),
+        min_size=1, max_size=40,
+    ),
+    all_nan_y=st.booleans(),
+    queries=oracle_queries,
+)
+def test_qdtree_root_cut_is_the_first_brute_force_argmax(rows, all_nan_y, queries):
+    """With k=2 the tree's one cut is the first cut of largest brute-force
+    benefit, and there is no cut when no benefit is positive."""
+    frame = pd.DataFrame({
+        "x": np.array([r[0] for r in rows], dtype=np.float64),
+        "y": np.full(len(rows), np.nan) if all_nan_y else np.array([r[1] for r in rows], dtype=np.float64),
+        "s": np.array([r[2] for r in rows], dtype=object),
+    })
+    lay = build_qdtree(frame, queries, 2, categorical_cols=("s",))
+    cuts, ben = _root_benefits(frame, queries, max(1, int(0.25 * len(frame) / 2)))
+    best = int(np.argmax(ben))
+    if ben[best] > 0:
+        assert lay.root.cut == cuts[best], (cuts, ben)
+    else:
+        assert lay.root.cut is None and lay.n_partitions == 1
